@@ -482,91 +482,6 @@ def check_io001(module: ModuleContext) -> Iterator[Hit]:
             )
 
 
-# -- SHM001: shared-memory segment lifecycle ---------------------------------
-
-
-def _finally_method_calls(finalbody: "list[ast.stmt]") -> "set[str]":
-    """Attribute-method names called anywhere under a ``finally`` body."""
-    called: "set[str]" = set()
-    for stmt in finalbody:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                called.add(node.func.attr)
-    return called
-
-
-def _creates_segment(node: ast.Call) -> bool:
-    """Whether this ``SharedMemory(...)`` call owns a new segment.
-
-    Attach sites (``create`` absent or false) borrow a name the creator
-    owns; only creation sites carry the unlink obligation.
-    """
-    for kw in node.keywords:
-        if kw.arg == "create":
-            return isinstance(kw.value, ast.Constant) and kw.value.value is True
-    if len(node.args) > 1:  # SharedMemory(name, create, ...)
-        arg = node.args[1]
-        return isinstance(arg, ast.Constant) and arg.value is True
-    return False
-
-
-@rule(
-    "SHM001",
-    "SharedMemory(create=True) without close()/unlink() on a finally path",
-    "A created segment is a named kernel object that outlives the "
-    "process unless explicitly unlinked; every create site must sit in "
-    "a try whose finally closes and unlinks it (ownership may transfer "
-    "on success — engine/shm.py's registry tears down on the engine's "
-    "finally path — but the error path must clean up in place).",
-)
-def check_shm001(module: ModuleContext) -> Iterator[Hit]:
-    """Violating::
-
-        seg = SharedMemory(create=True, size=n)
-
-    Clean::
-
-        seg = None
-        try:
-            seg = SharedMemory(create=True, size=n)
-            ...
-        finally:
-            if seg is not None:
-                seg.close()
-                seg.unlink()
-    """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        qualified = module.symbols.qualified(node.func)
-        is_ctor = (
-            qualified == "SharedMemory" or
-            (qualified is not None and qualified.endswith(".SharedMemory"))
-        ) or (
-            isinstance(node.func, ast.Name) and node.func.id == "SharedMemory"
-        )
-        if not is_ctor or not _creates_segment(node):
-            continue
-        guarded = False
-        for ancestor in parent_chain(node):
-            if isinstance(ancestor, ast.Try) and ancestor.finalbody:
-                called = _finally_method_calls(ancestor.finalbody)
-                if "close" in called and "unlink" in called:
-                    guarded = True
-                    break
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        if not guarded:
-            yield _hit(
-                node,
-                "SharedMemory(create=True) is not enclosed in a try whose "
-                "finally calls .close() and .unlink(); the segment can "
-                "leak past the engine run",
-            )
-
-
 # -- EXC001: swallowed exceptions --------------------------------------------
 
 

@@ -130,13 +130,7 @@ def default_config() -> LintConfig:
                     *harness,
                 )
             ),
-            "SPAWN001": RuleConfig(
-                # engine/shm.py is the blessed home of the worker-side
-                # shared-memory manifest: installed once per process by
-                # the pool initializer before any job runs.
-                allow_paths=("*/repro/engine/shm.py",)
-            ),
-            "SHM001": RuleConfig(),
+            "SPAWN001": RuleConfig(),
             "TEL001": RuleConfig(allow_paths=harness),
             "IO001": RuleConfig(
                 allow_paths=("*/repro/engine/store.py", *harness)

@@ -89,7 +89,6 @@ def _engine_config(
     cache_dir: "str | None",
     max_retries: "int | None" = None,
     job_timeout: "float | None" = None,
-    batch_size: "int | None" = None,
 ) -> EngineConfig:
     config = current_engine()
     if jobs is not None:
@@ -100,8 +99,6 @@ def _engine_config(
         config = dataclasses.replace(config, max_retries=int(max_retries))
     if job_timeout is not None:
         config = dataclasses.replace(config, job_timeout=float(job_timeout))
-    if batch_size is not None:
-        config = dataclasses.replace(config, batch_size=int(batch_size))
     return config
 
 
@@ -187,7 +184,6 @@ def run(
     trace_summary: bool = True,
     max_retries: "int | None" = None,
     job_timeout: "float | None" = None,
-    batch_size: "int | None" = None,
     surrogate: "str | None" = None,
 ) -> RunResult:
     """Run one strategy on one workload and average repeated trials.
@@ -202,7 +198,7 @@ def run(
         :mod:`repro.surrogate` ("forest", "gp", "select", "stack", ...);
         default is the paper's forest.  Unknown names raise immediately
         with a closest-match hint, and results stay bit-identical at any
-        ``jobs``/``batch_size`` for every family.
+        ``jobs`` for every family.
     seed:
         Root seed; trials derive their randomness content-addressed from
         it, so results are bit-identical at any ``jobs``.
@@ -226,10 +222,6 @@ def run(
         that exhausts its retries raises
         :class:`repro.engine.EngineJobError` after the batch completes,
         with finished trials preserved in the store.
-    batch_size:
-        Trial jobs dispatched per worker future (0 = automatic sizing,
-        1 = per-trial dispatch; default: the ambient engine
-        configuration).  Results are bit-identical at any value.
     """
     get_strategy(strategy, alpha=alpha)  # fail fast on unknown names
     overrides = _surrogate_overrides(surrogate)
@@ -238,7 +230,7 @@ def run(
         resolved = dataclasses.replace(resolved, n_max=int(budget))
     if trials is not None:
         resolved = dataclasses.replace(resolved, n_trials=int(trials))
-    engine = _engine_config(jobs, cache_dir, max_retries, job_timeout, batch_size)
+    engine = _engine_config(jobs, cache_dir, max_retries, job_timeout)
 
     def execute() -> AveragedTrace:
         return strategy_trace(
@@ -279,7 +271,6 @@ def compare(
     trace_summary: bool = True,
     max_retries: "int | None" = None,
     job_timeout: "float | None" = None,
-    batch_size: "int | None" = None,
     surrogate: "str | None" = None,
 ) -> CompareResult:
     """Run several strategies against one shared pool/test split.
@@ -298,7 +289,7 @@ def compare(
         resolved = dataclasses.replace(resolved, n_max=int(budget))
     if trials is not None:
         resolved = dataclasses.replace(resolved, n_trials=int(trials))
-    engine = _engine_config(jobs, cache_dir, max_retries, job_timeout, batch_size)
+    engine = _engine_config(jobs, cache_dir, max_retries, job_timeout)
 
     def execute() -> "dict[str, AveragedTrace]":
         return comparison_traces(

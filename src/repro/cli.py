@@ -24,9 +24,7 @@ processes; traces are bit-identical to serial), ``--cache-dir DIR``
 (persist completed trials in a crash-safe journal so re-runs and killed
 runs skip finished work), ``--max-retries K`` / ``--job-timeout SECONDS``
 (fault tolerance: failed, timed-out, or crash-lost trials are retried
-with exponential backoff before being recorded as failed),
-``--batch-size B`` (trials per worker future; 0 = automatic sizing,
-1 = per-trial dispatch — results are bit-identical at any B), and
+with exponential backoff before being recorded as failed), and
 ``--trace [FILE]`` (record telemetry spans — see :mod:`repro.telemetry` —
 into a JSONL file and print a per-phase summary; results are
 bit-identical with tracing on or off), and ``--surrogate NAME`` (swap the
@@ -115,15 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-attempt wall-clock limit for one trial job; a "
             "timed-out attempt is retried (default: $REPRO_JOB_TIMEOUT "
             "or unlimited)",
-        )
-        p.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            metavar="B",
-            help="trial jobs dispatched per worker future (default: "
-            "$REPRO_BATCH_SIZE or 0 = automatic; 1 = one future per "
-            "trial; results are bit-identical at any B)",
         )
         p.add_argument(
             "--trace",
@@ -402,9 +391,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ),
         job_timeout=(
             args.job_timeout if args.job_timeout is not None else base.job_timeout
-        ),
-        batch_size=(
-            args.batch_size if args.batch_size is not None else base.batch_size
         ),
     )
     with use_engine(engine):

@@ -13,16 +13,12 @@ worker crashes, kills mid-write):
   recorded failure once retries are exhausted;
 * :mod:`repro.engine.executor` — :func:`run_jobs` fans jobs over a process
   pool (serial fallback for ``jobs=1`` and fork-less platforms) with
-  bit-identical traces either way, batched dispatch (each future carries
-  a chunk of trials; ``EngineConfig.batch_size``), per-attempt
+  bit-identical traces either way, one future per trial attempt with the
+  pool/test split prepared once per worker process, per-attempt
   ``SIGALRM`` timeouts, retries with deterministic exponential backoff,
   and mid-run ``BrokenProcessPool`` recovery (salvage completed results,
   requeue in-flight trials, rebuild the pool, degrade to serial after
   repeated deaths);
-* :mod:`repro.engine.shm` — shared-memory publication of the prepared
-  pool/test arrays: the parent prepares each split once, workers attach
-  and copy instead of recomputing, segments are unlinked on the engine's
-  ``finally`` path;
 * :mod:`repro.engine.store` — :class:`ResultStore`, an append-only JSONL
   journal with fsync-on-commit and fsync-before-replace compaction: a
   ``kill -9`` mid-write never loses a committed trial, re-runs skip
@@ -33,10 +29,9 @@ worker crashes, kills mid-write):
 * :mod:`repro.engine.progress` — job/cache-hit/retry/failure telemetry on
   stderr, transient on TTYs and restored on the ``finally`` path;
 * :mod:`repro.engine.context` — ambient :class:`EngineConfig`
-  (``--jobs``/``--cache-dir``/``--max-retries``/``--job-timeout``/
-  ``--batch-size`` from the CLI; ``REPRO_JOBS``/``REPRO_CACHE_DIR``/
-  ``REPRO_MAX_RETRIES``/``REPRO_JOB_TIMEOUT``/``REPRO_FAULTS``/
-  ``REPRO_BATCH_SIZE`` for harnesses).
+  (``--jobs``/``--cache-dir``/``--max-retries``/``--job-timeout`` from
+  the CLI; ``REPRO_JOBS``/``REPRO_CACHE_DIR``/``REPRO_MAX_RETRIES``/
+  ``REPRO_JOB_TIMEOUT``/``REPRO_FAULTS`` for harnesses).
 
 The experiment runner (:mod:`repro.experiments.runner`) routes every
 trial through :func:`run_jobs`, so all CLI figures, benchmarks, and
@@ -49,7 +44,7 @@ from repro.engine.context import (
     engine_from_env,
     use_engine,
 )
-from repro.engine.executor import JobTimeout, chunk_size, execute_job, run_jobs
+from repro.engine.executor import JobTimeout, execute_job, run_jobs
 from repro.engine.faults import FaultPlan, FaultRule, plan_from_spec
 from repro.engine.jobs import (
     JOB_SCHEMA_VERSION,
@@ -75,7 +70,6 @@ __all__ = [
     "JOB_SCHEMA_VERSION",
     "JOURNAL_NAME",
     "STORE_SCHEMA_VERSION",
-    "chunk_size",
     "current_engine",
     "engine_from_env",
     "execute_job",

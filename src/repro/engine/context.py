@@ -51,21 +51,10 @@ class EngineConfig:
     job_timeout: "float | None" = None
     retry_backoff: float = 0.1
     faults: "str | None" = None
-    #: Trial jobs dispatched per worker future.  ``0`` (the default) sizes
-    #: chunks automatically from the queue depth and worker count; ``1``
-    #: restores the historical one-future-per-trial dispatch; ``N > 1``
-    #: pins the chunk size.  Results are bit-identical at any setting —
-    #: batching only amortises pickling and scheduling overhead (see
-    #: DESIGN.md §2h).
-    batch_size: int = 0
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_size < 0:
-            raise ValueError(
-                f"batch_size must be >= 0 (0 = auto), got {self.batch_size}"
-            )
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -93,10 +82,8 @@ def engine_from_env() -> EngineConfig:
     telemetry; ``REPRO_PROGRESS=force`` emits per-update lines even when
     stderr is not a TTY); ``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
     ``REPRO_RETRY_BACKOFF`` configure fault tolerance; ``REPRO_FAULTS``
-    injects deterministic chaos faults (see :mod:`repro.engine.faults`);
-    ``REPRO_BATCH_SIZE`` pins the dispatch chunk size (0 = auto,
-    1 = per-trial futures).  Unset variables fall back to the dataclass
-    defaults.
+    injects deterministic chaos faults (see :mod:`repro.engine.faults`).
+    Unset variables fall back to the dataclass defaults.
     """
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
@@ -108,7 +95,6 @@ def engine_from_env() -> EngineConfig:
     job_timeout = float(timeout_raw) if timeout_raw else None
     retry_backoff = float(os.environ.get("REPRO_RETRY_BACKOFF", "0.1"))
     faults = os.environ.get("REPRO_FAULTS") or None
-    batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "0"))
     return EngineConfig(
         jobs=jobs,
         cache_dir=cache_dir,
@@ -118,7 +104,6 @@ def engine_from_env() -> EngineConfig:
         job_timeout=job_timeout,
         retry_backoff=retry_backoff,
         faults=faults,
-        batch_size=batch_size,
     )
 
 

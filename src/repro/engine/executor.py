@@ -32,26 +32,13 @@ evaluations, and flaky jobs are routine at campaign scale):
   resubmits.  After :data:`_POOL_RESTART_LIMIT` rebuilds it degrades to
   the serial path instead of thrashing.
 
+Dispatch is one pool future per trial attempt (:func:`_execute_keyed`).
 Worker-side, :func:`execute_job` memoises the per-benchmark data
 preparation (pool/test split and the pre-labeled ``y_test``) in a small
 per-process cache, so the split — which the paper's protocol shares across
 all strategies and trials of a benchmark — is paid once per process rather
-than once per trial.
-
-The batched hot path (see DESIGN.md §2h): instead of one pool future per
-trial, the parallel scheduler dispatches *chunks* of trials per future
-(``EngineConfig.batch_size``; 0 sizes chunks from the queue depth, 1
-restores per-trial futures), amortising pickling and executor scheduling
-overhead.  Inside a chunk every trial is still guarded individually —
-per-attempt timeout, fault injection, and error capture are per-trial —
-and failures travel back as data, so retries and fault tolerance are
-exactly the per-future semantics.  Before dispatch the parent prepares
-each unique (benchmark, scale, seed) split once and publishes the arrays
-into shared memory (:mod:`repro.engine.shm`); workers attach instead of
-recomputing, and the parent unlinks every segment on the engine's
-``finally`` path.  Because all randomness is key-derived, chunking and
-shared-memory transport change *nothing* about the results: histories are
-bit-identical at any ``--jobs N`` and any batch size.
+than once per trial.  Because all randomness is key-derived, histories are
+bit-identical at any ``--jobs N`` (DESIGN.md §2h).
 
 The pool prefers the ``fork`` start method (cheap, inherits the prepared
 caches' code pages) and falls back to ``spawn`` where fork is unavailable;
@@ -75,7 +62,6 @@ import multiprocessing
 from repro import telemetry
 from repro.active import LearningHistory
 from repro.engine import faults as faults_mod
-from repro.engine import shm as shm_mod
 from repro.engine.context import EngineConfig, current_engine
 from repro.engine.jobs import TrialJob, TrialResult
 from repro.engine.progress import EngineStats, ProgressReporter
@@ -87,7 +73,6 @@ __all__ = [
     "execute_job",
     "JobTimeout",
     "backoff_seconds",
-    "chunk_size",
 ]
 
 #: Per-process cache of prepared (benchmark, pool, X_test, y_test) tuples.
@@ -101,11 +86,6 @@ _RETRY_BACKOFF_CAP = 30.0
 
 #: Pool rebuilds tolerated per batch before degrading to serial execution.
 _POOL_RESTART_LIMIT = 2
-
-#: Ceiling on the automatic dispatch chunk size.  Large chunks amortise
-#: more overhead but coarsen the unit a pool death loses; 16 trials is
-#: past the knee of the pickling-overhead curve (see BENCH_engine.json).
-_BATCH_CAP = 16
 
 #: Per-process cache of parsed fault plans, keyed by spec string.
 _PLANS: "dict[str | None, faults_mod.FaultPlan]" = {}
@@ -121,36 +101,20 @@ def _prepared(benchmark_name: str, scale, seed: int) -> tuple:
     The derivation mirrors the historical runner exactly
     (``derive(seed, "data", benchmark)`` feeding ``prepare_data``), so the
     split for a given (benchmark, scale, seed) is identical in every
-    process and to what the serial code produced.  Pool workers holding a
-    shared-memory manifest (see :mod:`repro.engine.shm`) rebuild the entry
-    from the parent's published arrays instead — one attach-and-copy per
-    process rather than a full re-preparation (which re-measures the whole
-    ``y_test`` set) — with bit-identical contents either way.
+    process and to what the serial code produced.
     """
     from repro.experiments.runner import prepare_data
     from repro.rng import derive
-    from repro.space import DataPool
     from repro.workloads import get_benchmark
 
     key = (benchmark_name, scale, int(seed))
     entry = _PREPARED.get(key)
     if entry is None:
-        published = shm_mod.lookup(key)
-        if published is not None:
-            with telemetry.span("engine.attach", benchmark=benchmark_name):
-                arrays = shm_mod.attach_entry(published)
-                entry = (
-                    get_benchmark(benchmark_name),
-                    DataPool(arrays["pool_X"]),
-                    arrays["X_test"],
-                    arrays["y_test"],
-                )
-        else:
-            with telemetry.span("engine.prepare", benchmark=benchmark_name):
-                benchmark = get_benchmark(benchmark_name)
-                data_rng = derive(seed, "data", benchmark_name)
-                pool, X_test, y_test = prepare_data(benchmark, scale, data_rng)
-            entry = (benchmark, pool, X_test, y_test)
+        with telemetry.span("engine.prepare", benchmark=benchmark_name):
+            benchmark = get_benchmark(benchmark_name)
+            data_rng = derive(seed, "data", benchmark_name)
+            pool, X_test, y_test = prepare_data(benchmark, scale, data_rng)
+        entry = (benchmark, pool, X_test, y_test)
         telemetry.inc("engine.prepared_benchmarks")
         # repro: allow[SPAWN001] per-process memo: pool workers are processes, not threads; no cross-process sharing
         _PREPARED[key] = entry
@@ -283,7 +247,7 @@ def _attempt(
 
 def _execute_keyed(  # repro: worker-entry
     item: "tuple[str, TrialJob, float, int, float | None, str | None]",
-) -> "tuple[str, str, object, list, dict]":
+) -> "tuple[str, object, list, dict]":
     """Pool-friendly wrapper: runs one guarded attempt in a worker process.
 
     Besides the outcome it ships the worker's telemetry for this attempt
@@ -298,59 +262,20 @@ def _execute_keyed(  # repro: worker-entry
     outcome, payload = _attempt(
         key, job, submit_ts, attempt, _plan(faults_spec), timeout
     )
-    return key, outcome, payload, telemetry.drain_events(), telemetry.drain()
+    return outcome, payload, telemetry.drain_events(), telemetry.drain()
 
 
-def chunk_size(batch_size: int, queued: int, n_workers: int) -> int:
-    """Trials to pack into the next worker future.
-
-    A pinned ``batch_size`` wins.  The automatic policy (``batch_size=0``)
-    aims for about four chunks per worker — large enough to amortise
-    pickling and scheduling, small enough that a crashed worker loses a
-    sliver of the campaign and stragglers still balance — recomputed per
-    chunk so dispatch self-tapers as the queue drains (guided
-    scheduling), capped at :data:`_BATCH_CAP`.
-    """
-    if batch_size:
-        return batch_size
-    if queued <= n_workers:
-        return 1
-    return max(1, min(_BATCH_CAP, -(-queued // (n_workers * 4))))
-
-
-def _execute_chunk(  # repro: worker-entry
-    chunk: "list[tuple[str, TrialJob, float, int, float | None, str | None]]",
-) -> "tuple[list[tuple[str, str, object]], list, dict]":
-    """Run a chunk of trial attempts sequentially in one worker process.
-
-    Each trial keeps the full per-attempt guard rail — its own ``SIGALRM``
-    timeout, its own fault-plan rolls, its own error capture — so a
-    timeout or error on one trial never contaminates its chunk-mates; only
-    a hard crash (which kills the process) loses the chunk's unfinished
-    remainder, and the parent requeues those bit-identically.  Telemetry
-    is drained once per chunk rather than once per trial — the merged
-    stream the parent absorbs is the same either way.
-    """
-    outcomes = []
-    for key, job, submit_ts, attempt, timeout, faults_spec in chunk:
-        outcome, payload = _attempt(
-            key, job, submit_ts, attempt, _plan(faults_spec), timeout
-        )
-        outcomes.append((key, outcome, payload))
-    return outcomes, telemetry.drain_events(), telemetry.drain()
-
-
-def _worker_init(trace_on: bool, manifest=None) -> None:  # repro: worker-entry
+def _worker_init(trace_on: bool) -> None:  # repro: worker-entry
     """Reset fork-inherited state in a fresh pool worker.
 
     A forked worker inherits the parent's ring buffer and counters; left
     alone they would be drained and re-absorbed by the parent, double
     counting everything recorded before the pool started.  The prepared
-    cache is cleared too: workers rebuild entries from the shared-memory
-    ``manifest`` (one attach per process) so behaviour is identical under
-    fork and spawn instead of silently depending on copy-on-write
-    inheritance.  Also marks the process as an expendable pool worker so
-    the ``crash`` chaos fault dies hard (``os._exit``) instead of raising.
+    cache is cleared too, so each worker prepares its own splits and
+    behaviour is identical under fork and spawn instead of silently
+    depending on copy-on-write inheritance.  Also marks the process as an
+    expendable pool worker so the ``crash`` chaos fault dies hard
+    (``os._exit``) instead of raising.
     """
     telemetry.clear()
     telemetry.reset()
@@ -360,7 +285,6 @@ def _worker_init(trace_on: bool, manifest=None) -> None:  # repro: worker-entry
         telemetry.disable()
     # repro: allow[SPAWN001] pool-initializer reset of the per-process prepared cache, before any job runs in this process
     _PREPARED.clear()
-    shm_mod.install_manifest(manifest)
     faults_mod.IN_POOL_WORKER = True
 
 
@@ -437,24 +361,18 @@ def _run_parallel(
     reporter: ProgressReporter,
     n_workers: int,
     config: EngineConfig,
-    manifest: "dict | None" = None,
 ) -> "list[tuple[str, TrialJob, int]]":
     """Execute over a process pool; returns jobs that still need running.
 
-    Dispatch is chunked: each future carries :func:`chunk_size` trials
-    (``manifest`` ships the shared-memory locations of the prepared data
-    to every worker via the pool initializer).  Jobs come back for the
-    caller's serial fallback when pools cannot be created at all, when
-    job payloads turn out unpicklable, or when the pool has died more
-    than :data:`_POOL_RESTART_LIMIT` times.  Everything else — job
-    errors, timeouts, single pool deaths — is absorbed here: completed
-    results are committed the moment their future resolves (and salvaged
-    from a broken pool's already-done futures), in-flight trials lost to
-    a pool death are charged one attempt and requeued, and the pool is
-    rebuilt.  A crash mid-chunk loses only that chunk's unfinished
-    trials to the requeue; trials the worker completed before dying come
-    back through the salvage probe or, failing that, are recomputed
-    bit-identically on retry.
+    Each trial attempt is one future running :func:`_execute_keyed`.  Jobs
+    come back for the caller's serial fallback when pools cannot be
+    created at all, when job payloads turn out unpicklable, or when the
+    pool has died more than :data:`_POOL_RESTART_LIMIT` times.  Everything
+    else — job errors, timeouts, single pool deaths — is absorbed here:
+    completed results are committed the moment their future resolves (and
+    salvaged from a broken pool's already-done futures), in-flight jobs
+    lost to a pool death are charged one attempt and requeued, and the
+    pool is rebuilt.
     """
     todo: "deque[tuple[str, TrialJob, int]]" = deque(pending)
     deferred: "list[tuple[float, str, TrialJob, int]]" = []  # (ready_at, ...)
@@ -479,29 +397,17 @@ def _run_parallel(
             )
             reporter.job_failed(f"{job.describe()}: {error}")
 
-    def absorb_chunk(
-        members: "list[tuple[str, TrialJob, int]]", chunk_payload
-    ) -> None:
-        """Fan a chunk future's result back to its per-trial bookkeeping."""
-        outcomes, events, counter_delta = chunk_payload
+    def absorb_result(key: str, job: TrialJob, attempt: int, returned) -> None:
+        """Commit one future's outcome and merge its worker telemetry."""
+        outcome, payload, events, counter_delta = returned
         telemetry.absorb_events(events)
         telemetry.absorb(counter_delta)
-        by_key = {key: (job, attempt) for key, job, attempt in members}
-        for key, outcome, payload in outcomes:
-            job, attempt = by_key.pop(key)
-            if outcome == "ok":
-                _record_success(
-                    key, job, attempt, payload, results, store, reporter
-                )
-            else:
-                attempt_failed(key, job, attempt, str(payload), outcome)
-        # _execute_chunk reports every member (failures travel as data),
-        # so leftovers mean a worker-side bug — charge an attempt rather
-        # than silently dropping the trial.
-        for key, (job, attempt) in by_key.items():
-            attempt_failed(
-                key, job, attempt, "missing from chunk result", "channel error"
+        if outcome == "ok":
+            _record_success(
+                key, job, attempt, payload, results, store, reporter
             )
+        else:
+            attempt_failed(key, job, attempt, str(payload), outcome)
 
     while todo or deferred:
         try:
@@ -509,14 +415,14 @@ def _run_parallel(
                 max_workers=n_workers,
                 mp_context=_mp_context(),
                 initializer=_worker_init,
-                initargs=(telemetry.enabled(), manifest),
+                initargs=(telemetry.enabled(),),
             )
         except (OSError, PermissionError, BrokenProcessPool, PicklingError):
             # Pools unavailable here (restricted sandbox) — run serially.
             return leftover()
         broken = False
         unpicklable = False
-        futures: "dict[object, list[tuple[str, TrialJob, int]]]" = {}
+        futures: "dict[object, tuple[str, TrialJob, int]]" = {}
         try:
             while (todo or deferred or futures) and not broken:
                 # repro: allow[DET002] backoff readiness check; scheduling only, never in results
@@ -529,33 +435,24 @@ def _run_parallel(
                         still.append((ready_at, key, job, attempt))
                 deferred[:] = still
                 while todo:
-                    size = min(
-                        chunk_size(config.batch_size, len(todo), n_workers),
-                        len(todo),
+                    key, job, attempt = todo.popleft()
+                    item = (
+                        key,
+                        job,
+                        # repro: allow[DET002] submit timestamp feeds the queue-wait telemetry attribute only
+                        time.time(),
+                        attempt,
+                        config.job_timeout,
+                        config.faults,
                     )
-                    members = [todo.popleft() for _ in range(size)]
-                    items = [
-                        (
-                            key,
-                            job,
-                            # repro: allow[DET002] submit timestamp feeds the queue-wait telemetry attribute only
-                            time.time(),
-                            attempt,
-                            config.job_timeout,
-                            config.faults,
-                        )
-                        for key, job, attempt in members
-                    ]
                     try:
-                        fut = pool.submit(_execute_chunk, items)
+                        fut = pool.submit(_execute_keyed, item)
                     except (BrokenProcessPool, RuntimeError):
-                        todo.extendleft(reversed(members))
+                        todo.appendleft((key, job, attempt))
                         broken = True
                         break
-                    futures[fut] = members
-                    reporter.batch_dispatched(len(members))
-                    for key, job, attempt in members:
-                        reporter.job_started(job.describe())
+                    futures[fut] = (key, job, attempt)
+                    reporter.job_started(job.describe())
                 if broken:
                     break
                 if not futures:
@@ -576,32 +473,30 @@ def _run_parallel(
                     return_when=FIRST_COMPLETED,
                 )
                 for fut in done:
-                    members = futures.pop(fut)
+                    key, job, attempt = futures.pop(fut)
                     try:
-                        chunk_payload = fut.result()
+                        returned = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        for key, job, attempt in members:
-                            attempt_failed(
-                                key, job, attempt,
-                                "worker process died", "worker died",
-                            )
+                        attempt_failed(
+                            key, job, attempt,
+                            "worker process died", "worker died",
+                        )
                     except PicklingError:
-                        todo.extendleft(reversed(members))
+                        todo.appendleft((key, job, attempt))
                         unpicklable = True
                         broken = True
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as exc:
                         # Result-channel trouble for this one future; treat
-                        # as failed attempts, not pool death.
-                        for key, job, attempt in members:
-                            attempt_failed(
-                                key, job, attempt,
-                                f"{type(exc).__name__}: {exc}", "channel error",
-                            )
+                        # as a failed attempt, not pool death.
+                        attempt_failed(
+                            key, job, attempt,
+                            f"{type(exc).__name__}: {exc}", "channel error",
+                        )
                     else:
-                        absorb_chunk(members, chunk_payload)
+                        absorb_result(key, job, attempt, returned)
         except (KeyboardInterrupt, SystemExit):
             # Don't leave orphaned workers grinding after a Ctrl-C: the
             # shutdown below won't wait, so kill them explicitly.
@@ -615,8 +510,7 @@ def _run_parallel(
         if unpicklable:
             # Deterministic serialization failure: retrying through the
             # pool cannot help, so hand everything to the serial path.
-            for fut, members in futures.items():
-                todo.extend(members)
+            todo.extend(futures.values())
             return leftover()
         # The pool died.  Salvage futures that completed before the death
         # (their results are real — losing them was the old data-loss bug),
@@ -625,58 +519,23 @@ def _run_parallel(
         restarts += 1
         telemetry.inc("engine.pool.restarts")
         reporter.pool_restarted(restarts)
-        for fut, members in list(futures.items()):
-            salvaged = False
+        for fut, (key, job, attempt) in list(futures.items()):
             if fut.done() and not fut.cancelled():
                 try:
-                    chunk_payload = fut.result()
+                    returned = fut.result()
                 # repro: allow[EXC001] salvage probe on a dead pool's future; unsalvaged jobs are charged an attempt below
                 except BaseException:
                     pass
                 else:
-                    absorb_chunk(members, chunk_payload)
-                    salvaged = True
-            if not salvaged:
-                for key, job, attempt in members:
-                    attempt_failed(
-                        key, job, attempt,
-                        "worker process died", "worker died",
-                    )
+                    absorb_result(key, job, attempt, returned)
+                    continue
+            attempt_failed(
+                key, job, attempt, "worker process died", "worker died"
+            )
         if restarts > _POOL_RESTART_LIMIT:
             telemetry.inc("engine.pool.degraded_serial")
             return leftover()
     return []
-
-
-def _publish_prepared(
-    pending: "list[tuple[str, TrialJob, int]]",
-    registry: shm_mod.SegmentRegistry,
-) -> None:
-    """Prepare each unique (benchmark, scale, seed) once; publish to shm.
-
-    Runs in the parent immediately before parallel dispatch.  A
-    preparation or publish failure (unknown benchmark, shared memory
-    unavailable) is not fatal here: the entry is simply not published, and
-    the affected trials hit the same failure — or prepare locally — in
-    their workers, with the per-trial retry policy, exactly as they did
-    before shared memory existed.
-    """
-    seen: set = set()
-    for _key, job, _attempt in pending:
-        pkey = (job.benchmark, job.scale, int(job.seed))
-        if pkey in seen:
-            continue
-        seen.add(pkey)
-        try:
-            _benchmark, pool, X_test, y_test = _prepared(*pkey)
-            registry.publish(
-                pkey, {"pool_X": pool.X, "X_test": X_test, "y_test": y_test}
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        # repro: allow[EXC001] publish is an optimisation; failures fall back to per-worker preparation with full retry semantics
-        except BaseException:
-            telemetry.inc("engine.shm.publish_skipped")
 
 
 def run_jobs(
@@ -713,7 +572,6 @@ def run_jobs(
         )
 
     results: "dict[str, TrialResult]" = {}
-    registry: "shm_mod.SegmentRegistry | None" = None
     try:
         with telemetry.span(
             "engine.run",
@@ -734,19 +592,12 @@ def run_jobs(
 
             n_workers = min(config.jobs, len(pending))
             if pending and n_workers > 1:
-                registry = shm_mod.SegmentRegistry()
-                _publish_prepared(pending, registry)
                 pending = _run_parallel(
-                    pending, results, store, reporter, n_workers, config,
-                    manifest=registry.manifest,
+                    pending, results, store, reporter, n_workers, config
                 )
             if pending:
                 _run_serial(pending, results, store, reporter, config)
     finally:
-        # Segment teardown first: workers are gone by now, and the parent
-        # is the sole owner of every published name.
-        if registry is not None:
-            registry.unlink_all()
         if store is not None:
             store.cleanup_tmp()
         if own_reporter:

@@ -11,9 +11,9 @@ Determinism: the fold permutation derives from a single integer drawn
 from the learner's seeded stream at construction time, combined with the
 current training-set size via :func:`repro.rng.derive` — so fold
 assignment is a pure function of (run seed, n_train), independent of
-execution order, and histories stay bit-identical at any ``--jobs`` /
-``--batch-size``.  Candidates are evaluated in declaration order and
-ties break toward the earlier candidate.
+execution order, and histories stay bit-identical at any ``--jobs``.
+Candidates are evaluated in declaration order and ties break toward the
+earlier candidate.
 
 A candidate that fails to fit (e.g. the GP's Cholesky on degenerate
 data) is scored infinitely bad rather than aborting the run; when the

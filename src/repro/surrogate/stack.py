@@ -16,9 +16,9 @@ the multi-model active-learning mechanism of Ghaffari et al. (PAPERS.md).
 
 Determinism matches ``select``: fold assignment derives from one integer
 drawn at construction plus the training-set size, and members fit in
-declaration order, so histories are bit-identical at any ``--jobs`` /
-``--batch-size``.  When the training set is too small to cross-validate
-the members get equal weights.
+declaration order, so histories are bit-identical at any ``--jobs``.
+When the training set is too small to cross-validate the members get
+equal weights.
 """
 
 from __future__ import annotations

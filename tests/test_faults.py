@@ -252,6 +252,18 @@ class TestCrashRecovery:
             assert stats.failed == 0, f"jobs={n}"
             assert _histories(results) == expect, f"jobs={n}"
 
+    def test_parallel_run_leaves_no_dev_shm_entries(self, baseline):
+        """A pool run, with or without worker deaths, litters no /dev/shm."""
+        shm_dir = Path("/dev/shm")
+        if not shm_dir.is_dir():
+            pytest.skip("no /dev/shm on this platform")
+        jobs, expect = baseline
+        before = {p.name for p in shm_dir.iterdir()}
+        for faults in (None, "crash:1.0"):
+            results, _ = run_jobs(jobs, config=_cfg(jobs=2, faults=faults))
+            assert _histories(results) == expect
+        assert {p.name for p in shm_dir.iterdir()} - before == set()
+
     def test_completed_results_survive_pool_death(
         self, tmp_path, two_trial_scale
     ):

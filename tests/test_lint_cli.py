@@ -48,7 +48,7 @@ def test_fixture_violations_exit_one_with_clickable_lines(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 1
     finding_lines = out[:-1]  # last line is the summary
-    assert len(finding_lines) == 14
+    assert len(finding_lines) == 13
     for line in finding_lines:
         assert FINDING_LINE.match(line), line
 
@@ -59,12 +59,12 @@ def test_json_report_matches_schema_and_round_trips(capsys):
     assert code == 1
     assert payload["schema"] == JSON_SCHEMA_VERSION
     assert payload["tool"] == "repro.analysis"
-    assert payload["files_scanned"] == 17
-    assert payload["summary"]["total"] == 14
-    assert payload["summary"]["errors"] == 14
+    assert payload["files_scanned"] == 16
+    assert payload["summary"]["total"] == 13
+    assert payload["summary"]["errors"] == 13
     assert payload["summary"]["warnings"] == 0
     assert set(payload["summary"]["by_rule"]) == set(payload["rules"])
-    assert len(payload["suppressed"]) == 14
+    assert len(payload["suppressed"]) == 13
     for entry in payload["suppressed"]:
         assert entry["reason"]
 

@@ -352,7 +352,7 @@ class TestEndToEnd:
         kwargs = dict(seed=0, scale=tiny_scale, trials=2, surrogate="select")
         serial = repro.api.run("mvt", "pwu", jobs=1, **kwargs)
         parallel = repro.api.run(
-            "mvt", "pwu", jobs=2, batch_size=1,
+            "mvt", "pwu", jobs=2,
             cache_dir=str(tmp_path / "cache"), **kwargs
         )
         assert np.array_equal(serial.history.n_train, parallel.history.n_train)
