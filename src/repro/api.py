@@ -28,6 +28,7 @@ from repro.engine.context import EngineConfig, current_engine
 from repro.experiments.aggregate import AveragedTrace
 from repro.experiments.config import SCALES, ExperimentScale
 from repro.experiments.runner import DEFAULT_ALPHAS, comparison_traces, strategy_trace
+from repro.forest import _cgrower
 from repro.sampling import get_strategy
 from repro.surrogate import surrogate_entry
 
@@ -153,17 +154,22 @@ def _traced(execute, trace: "bool | str", summary: bool):
         if event.get("name") == "engine.run":
             run_id = event.get("attrs", {}).get("run_id", run_id)
     path = trace if isinstance(trace, str) else f"trace-{run_id}.jsonl"
+    kernel = "c" if _cgrower.load() is not None else "reference"
+    gauges = telemetry.gauges_snapshot()
     telemetry.write_trace(
         path,
         events,
         counters=delta,
-        gauges=telemetry.gauges_snapshot(),
+        gauges=gauges,
         run_id=run_id,
         dropped=dropped,
+        forest_kernel=kernel,
     )
     if summary:
-        parsed = {"header": {"run_id": run_id, "dropped_events": dropped},
-                  "events": events, "counters": delta, "gauges": {}}
+        header = {"run_id": run_id, "dropped_events": dropped,
+                  "forest_kernel": kernel}
+        parsed = {"header": header,
+                  "events": events, "counters": delta, "gauges": gauges}
         print(telemetry.summarize(parsed), file=sys.stderr)
     return result, path
 

@@ -1,45 +1,142 @@
-/* Optional C hot path for presorted CART growth.
+/* Optional C hot path for CART growth and packed-forest traversal.
  *
  * Compiled on demand by repro/forest/_cgrower.py (plain `cc -shared`, no
- * Python headers needed) and driven through ctypes from
- * RegressionTree._grow_presorted.  The kernel only performs comparisons,
- * sequential prefix sums, and elementwise double arithmetic written in the
- * exact operand order of the numpy reference implementation
- * (repro/forest/splitter.py), so its results are bit-identical:
+ * Python headers needed) and driven through ctypes.  `repro_grow_tree`
+ * grows one whole tree per call and is bit-identical to the reference
+ * grower in repro/forest/tree.py (`presort=False`): same node arrays,
+ * same RNG consumption.  Every floating-point result it produces is
+ * computed the way the reference computes it:
  *
- *  - prefix sums run left-to-right exactly like np.cumsum (which is a
- *    strict sequential fold, never pairwise);
+ *  - node sums Σy and Σy² replicate numpy's pairwise summation, which is
+ *    what np.add.reduce does on a contiguous float64 array
+ *    (`repro_pairwise_sum`);
+ *  - split-search prefix sums run left-to-right exactly like np.cumsum
+ *    (a strict sequential fold, never pairwise);
  *  - the combined-SSE expression evaluates each elementwise operation in
  *    the same order as the reference ufunc chain, and the build flags
  *    forbid FMA contraction (-ffp-contract=off) so no two operations are
  *    fused into a differently-rounded one;
  *  - the argmin scan visits candidates position-major (position, then
  *    feature column) and keeps the first minimum, matching np.argmin over
- *    the reference (n_candidates, m) layout, including tie-breaks.
+ *    the reference (n_candidates, m) layout, including tie-breaks;
+ *  - the gain test squares the parent sum with libm pow(), as
+ *    np.float64 ** 2 does (pow is not always x * x);
+ *  - per-node feature draws replicate Generator.choice(d, m,
+ *    replace=False) on the caller's bit generator (`repro_choice`).
  *
- * Anything whose bit pattern depends on numpy internals that C cannot
- * cheaply replicate stays in Python: per-node target sums (np.sum's
- * pairwise/SIMD association, np.dot's BLAS kernel), the RNG feature draws,
- * and the final gain test (x ** 2 is not always x * x).  The kernel
- * therefore reports the winning column's sequential totals back to Python,
- * which makes the gain decision; the partition is performed optimistically
- * in the same call (its output is simply discarded on a failed gain test,
- * which costs nothing but a little wasted work on would-be leaves).
+ * The loader cross-checks both replicas against the installed numpy
+ * before using this library, and falls back to the reference grower on
+ * any mismatch.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef int64_t ip; /* numpy intp on LP64 platforms */
 
-typedef struct {
-    const double *XT;      /* (d, n) row-major: XT[f*n + i] = X[i, f] */
-    const double *y;       /* (n,) training targets */
-    unsigned char *inleft; /* (n,) zeroed scratch for stable partitioning */
-    double *out_d;         /* [threshold, best_combined, total_sum, total_sq] */
-    ip d;                  /* number of features (order has d+1 rows) */
-    ip n;                  /* full training-sample size */
-    ip msl;                /* min_samples_leaf */
-} repro_ctx;
+/* bitgen_t.next_uint32 of a numpy BitGenerator (its ctypes interface). */
+typedef uint32_t (*next_uint32_fn)(void *state);
+
+/* numpy's pairwise_sum: below 8 elements a sequential sum from -0.0; up
+ * to 128 elements eight interleaved accumulators combined as a balanced
+ * tree, then the tail; above that, recursive halving at a multiple of 8. */
+static double pairwise_sum(const double *a, ip n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (ip i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        ip i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    ip n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* np.add.reduce of a contiguous float64 array: the pairwise sum added to
+ * the ufunc's identity, +0.0 (so an all -0.0 input sums to +0.0). */
+double repro_pairwise_sum(const double *a, ip n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* numpy's random_bounded_uint64(state, 0, rng, 0, 0) for rng < 2**32:
+ * Lemire's rejection method over next_uint32. */
+static uint64_t bounded(next_uint32_fn next, void *st, uint64_t rng)
+{
+    if (rng == 0)
+        return 0;
+    if (rng == 0xFFFFFFFFULL)
+        return next(st);
+    const uint32_t rng_excl = (uint32_t)rng + 1;
+    uint64_t m = (uint64_t)next(st) * rng_excl;
+    uint32_t leftover = (uint32_t)(m & 0xFFFFFFFFULL);
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next(st) * rng_excl;
+            leftover = (uint32_t)(m & 0xFFFFFFFFULL);
+        }
+    }
+    return m >> 32;
+}
+
+/* Generator.choice(d, m, replace=False) into out[0:m].
+ *
+ * numpy tail-shuffles an arange when d > 10000 and m > d // 50, and
+ * otherwise runs Floyd's algorithm followed by a Fisher-Yates shuffle of
+ * the m picks.  Floyd's output depends only on set membership, so a flag
+ * array stands in for numpy's hash set.  `work` holds d zeroed entries
+ * and is zeroed again on return.  Requires d < 2**32.
+ */
+void repro_choice(next_uint32_fn next, void *st, ip d, ip m, ip *out,
+                  ip *work)
+{
+    if (d > 10000 && m > d / 50) {
+        for (ip i = 0; i < d; i++)
+            work[i] = i;
+        const ip first = d - m > 1 ? d - m : 1;
+        for (ip i = d - 1; i >= first; i--) {
+            const ip j = (ip)bounded(next, st, (uint64_t)i);
+            const ip t = work[j];
+            work[j] = work[i];
+            work[i] = t;
+        }
+        memcpy(out, work + (d - m), (size_t)m * sizeof(ip));
+        memset(work, 0, (size_t)d * sizeof(ip));
+        return;
+    }
+    for (ip j = d - m; j < d; j++) {
+        const ip val = (ip)bounded(next, st, (uint64_t)j);
+        const ip pick = work[val] ? j : val;
+        work[pick] = 1;
+        out[j - d + m] = pick;
+    }
+    for (ip i = m - 1; i >= 1; i--) {
+        const ip j = (ip)bounded(next, st, (uint64_t)i);
+        const ip t = out[j];
+        out[j] = out[i];
+        out[i] = t;
+    }
+    for (ip i = 0; i < m; i++)
+        work[out[i]] = 0;
+}
 
 /* Packed-forest traversal: route every (tree, row) lane to its leaf.
  *
@@ -70,26 +167,23 @@ void repro_traverse(const ip *feature, const double *threshold,
     }
 }
 
-/* Best-split search + stable partition for one node.
+/* A volatile exponent keeps the compiler from folding pow(x, 2.0) into
+ * x * x, which differs from libm pow in the last bit for some inputs. */
+static volatile double two = 2.0;
+
+/* Best split of one node over the candidate features.
  *
- * `order` holds d+1 rows of `stride` elements each; row f lists the node's
- * k sample indices in ascending X[:, f] order, and row d lists them in
- * ascending-id order.  `feats` selects the m candidate rows.
- *
- * Returns -1 when no value-boundary candidate exists.  Otherwise fills
- * ctx->out_d, and returns (feature << 32) | n_left where n_left counts
- * X[:, feature] <= threshold over the node.  When 0 < n_left < k each row
- * of `childbuf` (row stride k) is written as [left block | right block],
- * preserving within-row order; degenerate masks leave childbuf untouched.
+ * The node's samples occupy columns [start, start + k) of every row of
+ * `order` (row stride n); row f lists them in ascending X[:, f] order.
+ * Returns the winning column of `feats` (-1 when no value-boundary
+ * candidate passes the gain test) and its threshold in *thr.
  */
-long repro_node(const repro_ctx *ctx, const ip *order, ip stride, ip k,
-                const ip *feats, ip m, ip *childbuf)
+static ip best_split(const double *XT, const double *y, const ip *order,
+                     ip n, ip start, ip k, const ip *feats, ip m, ip msl,
+                     double *thr)
 {
-    const double *XT = ctx->XT;
-    const double *y = ctx->y;
-    const ip n = ctx->n;
-    const ip lo = ctx->msl;
-    const ip hi = k - ctx->msl;
+    const ip lo = msl;
+    const ip hi = k - msl;
     int found = 0;
     double best = 0.0;
     ip best_pos = 0;
@@ -99,7 +193,7 @@ long repro_node(const repro_ctx *ctx, const ip *order, ip stride, ip k,
 
     for (ip col = 0; col < m; col++) {
         const ip f = feats[col];
-        const ip *ordf = order + f * stride;
+        const ip *ordf = order + f * n + start;
         const double *Xf = XT + f * n;
 
         /* Sequential totals == csum[-1]/csq[-1] of the reference. */
@@ -157,45 +251,176 @@ long repro_node(const repro_ctx *ctx, const ip *order, ip stride, ip k,
     if (!found)
         return -1;
 
+    /* Gain test: node_sse = total_sq - total_sum ** 2 / n. */
+    const double node_sse = best_tot_q - pow(best_tot_s, two) / (double)k;
+    if (node_sse - best <= 1e-12)
+        return -1;
+
     const ip f = feats[best_col];
-    const ip *ordf = order + f * stride;
+    const ip *ordf = order + f * n + start;
     const double *Xf = XT + f * n;
     const ip split_i = lo + best_pos;
     const double lo_val = Xf[ordf[split_i - 1]];
     const double hi_val = Xf[ordf[split_i]];
-    double thr = 0.5 * (lo_val + hi_val);
+    double t = 0.5 * (lo_val + hi_val);
     /* Midpoints of adjacent floats can collapse onto the upper value; the
      * left side must satisfy value <= thr < upper value. */
-    if (!(lo_val <= thr && thr < hi_val))
-        thr = lo_val;
-    ctx->out_d[0] = thr;
-    ctx->out_d[1] = best;
-    ctx->out_d[2] = best_tot_s;
-    ctx->out_d[3] = best_tot_q;
+    if (!(lo_val <= t && t < hi_val))
+        t = lo_val;
+    *thr = t;
+    return best_col;
+}
 
-    const ip *idx = order + ctx->d * stride; /* row d: ascending sample ids */
-    ip n_left = 0;
-    for (ip i = 0; i < k; i++)
-        n_left += (Xf[idx[i]] <= thr);
-    if (n_left > 0 && n_left < k) {
-        unsigned char *inleft = ctx->inleft;
+/* Grow one whole tree by an explicit-stack DFS, in the reference's order.
+ *
+ * `order` is (d + 1, n): row f is the stable argsort of X[:, f] and row d
+ * is 0..n-1.  It is partitioned in place as the tree grows, so each node
+ * owns one column range [start, start + k) of every row and row d keeps
+ * its samples in ascending-id order.  Nodes are popped last-in first-out
+ * with the left child pushed before the right; child ids are assigned at
+ * split time; stats and the feature draw happen at pop.  `next`/`state`
+ * are the bit generator used for the draws (unused when m >= d), and the
+ * caller holds its lock.  `max_depth` < 0 means unlimited.
+ *
+ * The eight output arrays need room for 2n - 1 nodes.  Returns the node
+ * count, or -1 when scratch memory cannot be allocated.
+ */
+ip repro_grow_tree(const double *XT, const double *y, ip n, ip d, ip m,
+                   ip *order, ip msl, ip mss, ip max_depth,
+                   next_uint32_fn next, void *state,
+                   ip *feature, double *threshold, ip *left, ip *right,
+                   double *value, double *variance, ip *count,
+                   double *impurity)
+{
+    ip *stack = malloc((size_t)(4 * n) * sizeof(ip));
+    ip *feats = malloc((size_t)d * sizeof(ip));
+    ip *work = calloc((size_t)d, sizeof(ip));
+    ip *tmp = malloc((size_t)n * sizeof(ip));
+    double *ybuf = malloc((size_t)(2 * n) * sizeof(double));
+    unsigned char *inleft = calloc((size_t)n, 1);
+    ip n_nodes = -1;
+    if (!stack || !feats || !work || !tmp || !ybuf || !inleft)
+        goto done;
+    double *yybuf = ybuf + n;
+    const ip rows = d + 1;
+    for (ip f = 0; f < d; f++)
+        feats[f] = f;
+
+    feature[0] = -1;
+    threshold[0] = 0.0;
+    left[0] = -1;
+    right[0] = -1;
+    n_nodes = 1;
+    /* Stack entries are (node, start, k, depth); at most n are pending,
+     * since pending nodes own disjoint, non-empty column ranges. */
+    stack[0] = 0;
+    stack[1] = 0;
+    stack[2] = n;
+    stack[3] = 0;
+    ip top = 1;
+    while (top > 0) {
+        top--;
+        const ip node = stack[4 * top];
+        const ip start = stack[4 * top + 1];
+        const ip k = stack[4 * top + 2];
+        const ip depth = stack[4 * top + 3];
+        const ip *idx = order + d * n + start;
+
+        for (ip i = 0; i < k; i++) {
+            const double yv = y[idx[i]];
+            ybuf[i] = yv;
+            yybuf[i] = yv * yv;
+        }
+        const double s = repro_pairwise_sum(ybuf, k);
+        const double q = repro_pairwise_sum(yybuf, k);
+        const double kd = (double)k;
+        const double mean = s / kd;
+        /* max(x, 0.0) as Python evaluates it. */
+        const double var = q / kd - mean * mean;
+        const double imp = q - s * s / kd;
+        value[node] = mean;
+        variance[node] = (0.0 > var) ? 0.0 : var;
+        count[node] = k;
+        impurity[node] = (0.0 > imp) ? 0.0 : imp;
+
+        if (k < mss || (max_depth >= 0 && depth >= max_depth) ||
+            impurity[node] <= 1e-12)
+            continue;
+        if (m < d)
+            repro_choice(next, state, d, m, feats, work);
+        if (2 * msl > k)
+            continue;
+
+        double thr;
+        const ip col = best_split(XT, y, order, n, start, k, feats, m, msl,
+                                  &thr);
+        if (col < 0)
+            continue;
+        const ip f = feats[col];
+        const double *Xf = XT + f * n;
+        ip n_left = 0;
+        for (ip i = 0; i < k; i++)
+            n_left += (Xf[idx[i]] <= thr);
+        /* Mirrors the reference's degenerate-threshold guard. */
+        if (n_left == 0 || n_left == k)
+            continue;
+
+        const ip li = n_nodes;
+        const ip ri = n_nodes + 1;
+        n_nodes += 2;
+        feature[node] = f;
+        threshold[node] = thr;
+        left[node] = li;
+        right[node] = ri;
+        for (ip c = li; c <= ri; c++) {
+            feature[c] = -1;
+            threshold[c] = 0.0;
+            left[c] = -1;
+            right[c] = -1;
+        }
+
+        /* Stable in-place partition of every row's column range:
+         * [left block | right block], within-block order preserved.  Each
+         * value is stored to both sides and only the matching cursor
+         * advances: branch-free, since the side is data-dependent (seg[nl]
+         * is safe to overwrite because nl <= i). */
         for (ip i = 0; i < k; i++)
             inleft[idx[i]] = (Xf[idx[i]] <= thr);
-        const ip rows = ctx->d + 1;
         for (ip r = 0; r < rows; r++) {
-            const ip *src = order + r * stride;
-            ip *dstl = childbuf + r * k;
-            ip *dstr = dstl + n_left;
+            ip *seg = order + r * n + start;
+            ip nl = 0;
+            ip nr = 0;
             for (ip i = 0; i < k; i++) {
-                const ip v = src[i];
-                if (inleft[v])
-                    *dstl++ = v;
-                else
-                    *dstr++ = v;
+                const ip v = seg[i];
+                const ip side = inleft[v];
+                seg[nl] = v;
+                tmp[nr] = v;
+                nl += side;
+                nr += 1 - side;
             }
+            memcpy(seg + nl, tmp, (size_t)nr * sizeof(ip));
         }
         for (ip i = 0; i < k; i++)
             inleft[idx[i]] = 0;
+
+        stack[4 * top] = li;
+        stack[4 * top + 1] = start;
+        stack[4 * top + 2] = n_left;
+        stack[4 * top + 3] = depth + 1;
+        top++;
+        stack[4 * top] = ri;
+        stack[4 * top + 1] = start + n_left;
+        stack[4 * top + 2] = k - n_left;
+        stack[4 * top + 3] = depth + 1;
+        top++;
     }
-    return (f << 32) | n_left;
+
+done:
+    free(stack);
+    free(feats);
+    free(work);
+    free(tmp);
+    free(ybuf);
+    free(inleft);
+    return n_nodes;
 }

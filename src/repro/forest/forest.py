@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.forest import _cgrower
 from repro.forest.packed import PackedForest
 from repro.forest.tree import RegressionTree
 from repro.forest.uncertainty import across_tree_std, total_variance_std
@@ -49,8 +50,11 @@ class RandomForestRegressor:
     seed:
         Anything :func:`repro.rng.as_generator` accepts.
     presort:
-        Passed to each tree: grow with the presorted splitter (default) or
-        the per-node argsort reference path (trace-equivalent, slower).
+        Passed to each tree: grow with the C grower (default; the reference
+        path when the C library is unavailable) or the per-node argsort
+        reference path (trace-equivalent, slower).  The ``forest.kernel``
+        gauge records which one each fit used: 1 for C, 0 for the
+        reference.
     """
 
     def __init__(
@@ -105,6 +109,10 @@ class RandomForestRegressor:
             tree.fit(X, y)
         return tree
 
+    def _record_kernel(self) -> None:
+        c_grower = self.presort and _cgrower.load() is not None
+        counters.gauge("forest.kernel", 1 if c_grower else 0)
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit all trees from scratch on ``(X, y)``."""
         X = np.asarray(X, dtype=np.float64)
@@ -114,6 +122,7 @@ class RandomForestRegressor:
         if len(X) != len(y):
             raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
         self._X, self._y = X.copy(), y.copy()
+        self._record_kernel()
         with span("forest.fit", trees=self.n_estimators, n_train=len(y)):
             self.trees_ = [
                 self._fit_one_tree(X, y) for _ in range(self.n_estimators)
@@ -148,6 +157,7 @@ class RandomForestRegressor:
         self._y = np.concatenate([self._y, y_new])
         n_refresh = max(1, int(round(refresh_fraction * self.n_estimators)))
         which = self.rng.choice(self.n_estimators, size=n_refresh, replace=False)
+        self._record_kernel()
         with span("forest.update", refreshed=n_refresh, n_train=len(self._y)):
             for t in which:
                 self.trees_[t] = self._fit_one_tree(self._X, self._y)

@@ -6,20 +6,19 @@ through the tree simultaneously, one level per vectorised step.
 
 Growth comes in two trace-equivalent flavours selected by ``presort``:
 
-* ``presort=True`` (default) argsorts each feature of the training sample
-  *once per tree* and maintains per-feature sorted index rows through
-  stable mask-partitioning at every split, so each node pays only a gather
-  and a prefix-sum sweep (:func:`~repro.forest.splitter.best_split_presorted`).
+* ``presort=True`` (default) grows the whole tree in one call into the C
+  library of :mod:`repro.forest._cgrower`: each feature is argsorted *once
+  per tree* and the sorted index rows are stably partitioned in place at
+  every split, so each node pays only a gather and a prefix-sum sweep.
 * ``presort=False`` is the reference grower: a fresh ``(n, m)`` argsort per
-  node (:func:`~repro.forest.splitter.best_split`).
+  node (:func:`~repro.forest.splitter.best_split`).  It is also what
+  ``presort=True`` runs when the C library is unavailable.
 
 Both consume the node RNG identically and produce bit-identical trees —
 the trace-equivalence suite (``tests/test_trace_equivalence.py``) pins this.
 """
 
 from __future__ import annotations
-
-import ctypes
 
 import numpy as np
 
@@ -49,7 +48,7 @@ class RegressionTree:
     rng:
         Generator used for per-node feature subsampling.
     presort:
-        Use the presorted grower (one stable argsort per feature per tree,
+        Use the C grower (one stable argsort per feature per tree,
         partitioned down the tree) instead of re-argsorting every node.
         Trace-equivalent; ``False`` keeps the reference path for tests and
         benchmarking.
@@ -115,9 +114,72 @@ class RegressionTree:
 
         n, d = X.shape
         m = self._n_split_features(d)
-        presort = self.presort
+        lib = _cgrower.load() if self.presort else None
+        if lib is not None:
+            arrays = self._grow_c(lib, X, y, m)
+        else:
+            arrays = self._grow_reference(X, y, m)
 
-        # Growable flat node storage.
+        self.n_features_ = d
+        (
+            self.feature_,
+            self.threshold_,
+            self.left_,
+            self.right_,
+            self.value_,
+            self.variance_,
+            self.count_,
+            self.impurity_,
+        ) = arrays
+        self._fitted = True
+        return self
+
+    def _grow_c(self, lib, X: np.ndarray, y: np.ndarray, m: int) -> tuple:
+        """Grow the whole tree in one ``repro_grow_tree`` call.
+
+        Python argsorts each feature once (stable, so ties keep ascending
+        sample order, as the reference's per-node argsorts do) and
+        preallocates node storage for the 2n - 1 nodes a tree of ``n``
+        samples can have; C runs the DFS, partitioning ``order`` in place,
+        and draws candidate features from ``self.rng``'s bit generator
+        under its lock, exactly as ``Generator.choice`` would.
+        """
+        n, d = X.shape
+        XT = np.ascontiguousarray(X.T)
+        y = np.ascontiguousarray(y)
+        order = np.empty((d + 1, n), dtype=np.intp)
+        order[:d] = np.argsort(XT, axis=1, kind="stable")
+        order[d] = np.arange(n)
+        cap = 2 * n - 1
+        ints = np.empty((4, cap), dtype=np.intp)  # feature, left, right, count
+        floats = np.empty((4, cap), dtype=np.float64)  # thr, value, var, imp
+        ip = ints.ctypes.data
+        fp = floats.ctypes.data
+        row = 8 * cap
+        max_depth = -1 if self.max_depth is None else self.max_depth
+        bitgen = self.rng.bit_generator
+        next_u32, state = _cgrower.bitgen_pointers(self.rng) if m < d else (0, 0)
+        with bitgen.lock:
+            n_nodes = lib.repro_grow_tree(
+                XT.ctypes.data, y.ctypes.data, n, d, m, order.ctypes.data,
+                self.min_samples_leaf, self.min_samples_split, max_depth,
+                next_u32, state,
+                ip, fp, ip + row, ip + 2 * row,
+                fp + row, fp + 2 * row, ip + 3 * row, fp + 3 * row,
+            )
+        if n_nodes < 0:
+            raise MemoryError("tree grower could not allocate scratch memory")
+        feature, left, right, count = ints[:, :n_nodes]
+        threshold, value, variance, impurity = floats[:, :n_nodes]
+        return feature, threshold, left, right, value, variance, count, impurity
+
+    def _grow_reference(self, X: np.ndarray, y: np.ndarray, m: int) -> tuple:
+        """Reference growth: a fresh argsort per node via :func:`best_split`.
+
+        The test oracle for :meth:`_grow_c`, and the grower whenever the C
+        library is unavailable.
+        """
+        n, d = X.shape
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -139,411 +201,56 @@ class RegressionTree:
             return len(feature) - 1
 
         root = new_node()
-        if presort:
-            self._grow_presorted(
-                X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-        else:
-            stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-            while stack:
-                node, idx, depth = stack.pop()
-                y_node = y[idx]
-                # Mean/variance/SSE from one pass (Σy, Σy²): this is the hot
-                # loop of forest construction, numpy reduction wrappers are
-                # too heavy here.
-                k = len(idx)
-                s = float(y_node.sum())
-                q = float(np.dot(y_node, y_node))
-                mean = s / k
-                value[node] = mean
-                variance[node] = max(q / k - mean * mean, 0.0)
-                count[node] = k
-                impurity[node] = max(q - s * s / k, 0.0)
-
-                if (
-                    k < self.min_samples_split
-                    or (self.max_depth is not None and depth >= self.max_depth)
-                    or impurity[node] <= 1e-12
-                ):
-                    continue
-
-                if m >= d:
-                    feats = np.arange(d)
-                else:
-                    feats = self.rng.choice(d, size=m, replace=False)
-
-                split = best_split(X[idx], y_node, feats, self.min_samples_leaf)
-                if split is None:
-                    continue
-                feature[node] = split.feature
-                threshold[node] = split.threshold
-                li = new_node()
-                ri = new_node()
-                left[node] = li
-                right[node] = ri
-                stack.append((li, idx[split.left_mask], depth + 1))
-                stack.append((ri, idx[~split.left_mask], depth + 1))
-
-        self.n_features_ = d
-        self.feature_ = np.asarray(feature, dtype=np.intp)
-        self.threshold_ = np.asarray(threshold, dtype=np.float64)
-        self.left_ = np.asarray(left, dtype=np.intp)
-        self.right_ = np.asarray(right, dtype=np.intp)
-        self.value_ = np.asarray(value, dtype=np.float64)
-        self.variance_ = np.asarray(variance, dtype=np.float64)
-        self.count_ = np.asarray(count, dtype=np.intp)
-        self.impurity_ = np.asarray(impurity, dtype=np.float64)
-        self._fitted = True
-        return self
-
-    def _grow_presorted(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Presorted DFS growth — the hot path of forest construction.
-
-        Dispatches to the C split kernel when available (built on demand by
-        :mod:`repro.forest._cgrower`) and otherwise to the fused numpy
-        loop.  Both are trace-equivalent to the reference branch of
-        :meth:`fit`: same RNG calls in the same order, bit-identical node
-        arrays.
-        """
-        lib = _cgrower.load()
-        if lib is not None:
-            self._grow_presorted_c(
-                lib, X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-        else:
-            self._grow_presorted_numpy(
-                X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-
-    def _grow_presorted_c(
-        self,
-        lib,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Presorted growth driven by the C split kernel.
-
-        Per node, Python keeps exactly the work whose bit pattern depends
-        on numpy internals the kernel cannot replicate — the target-sum
-        statistics (np.sum's pairwise association, np.dot's BLAS kernel),
-        the RNG feature draw, and the gain test (``float ** 2`` is not
-        always ``x * x``; Python and np.float64 pow do agree bit-for-bit)
-        — and hands the prefix-sum search plus the stable partition to a
-        single C call.  The partition is optimistic: on a failed gain test
-        its output is simply dropped.  ``childbuf`` rows come back packed
-        as ``[left block | right block]``, so the children are described by
-        raw base pointers carried on the stack as plain ints (avoiding
-        per-node ``.ctypes``/``.strides`` attribute costs); the ascending
-        index row (row ``d``) is kept as a real view, which also keeps the
-        buffer alive.
-        """
-        XT = np.ascontiguousarray(X.T)
-        y = np.ascontiguousarray(y)
-        order0 = np.concatenate(
-            [
-                np.argsort(XT, axis=1, kind="stable"),
-                np.arange(n, dtype=np.intp)[None, :],
-            ]
-        )
-        inleft = np.zeros(n, dtype=np.uint8)
-        out_d = np.zeros(4, dtype=np.float64)
-        ctx = _cgrower.Ctx(
-            XT.ctypes.data, y.ctypes.data, inleft.ctypes.data,
-            out_d.ctypes.data, d, n, self.min_samples_leaf,
-        )
-        ctxref = ctypes.byref(ctx)
-        node_call = lib.repro_node
-        out_list = out_d.tolist
-        np_empty = np.empty
-        np_intp = np.intp
-        add_reduce = np.add.reduce
-        np_dot = np.dot
-        # Candidate features go through one fixed buffer so its raw pointer
-        # is computed once, not per node (.ctypes costs ~1.5us per access).
-        if m >= d:
-            featbuf = np.arange(d, dtype=np.intp)
-            draw = None  # all features, no RNG draw — matches the reference
-        else:
-            featbuf = np.empty(m, dtype=np.intp)
-            draw = self.rng.choice
-        fptr = featbuf.ctypes.data
-        msl2 = 2 * self.min_samples_leaf
-        mss = self.min_samples_split
-        max_depth = self.max_depth
-        dp1 = d + 1
-        f_app = feature.append
-        t_app = threshold.append
-        l_app = left.append
-        r_app = right.append
-        v_app = value.append
-        va_app = variance.append
-        c_app = count.append
-        i_app = impurity.append
-
-        stack = [(0, order0[d], order0.ctypes.data, n, 0)]
-        pop = stack.pop
-        push = stack.append
+        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
         while stack:
-            node, idx, ptr, stride, depth = pop()
+            node, idx, depth = stack.pop()
             y_node = y[idx]
-            k = y_node.shape[0]
-            s = float(add_reduce(y_node))
-            q = float(np_dot(y_node, y_node))
+            # Mean/variance/SSE from Σy and Σy², both numpy pairwise sums
+            # (np.dot would go through BLAS, whose association is not
+            # reproducible).
+            k = len(idx)
+            s = float(np.add.reduce(y_node))
+            q = float(np.add.reduce(y_node * y_node))
             mean = s / k
             value[node] = mean
-            var = q / k - mean * mean
-            variance[node] = var if var > 0.0 else 0.0
+            variance[node] = max(q / k - mean * mean, 0.0)
             count[node] = k
-            imp = q - s * s / k
-            if imp < 0.0:
-                imp = 0.0
-            impurity[node] = imp
+            impurity[node] = max(q - s * s / k, 0.0)
 
             if (
-                k < mss
-                or (max_depth is not None and depth >= max_depth)
-                or imp <= 1e-12
+                k < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or impurity[node] <= 1e-12
             ):
                 continue
 
-            if draw is not None:
-                featbuf[...] = draw(d, size=m, replace=False)
-            if msl2 > k:
+            if m >= d:
+                feats = np.arange(d)
+            else:
+                feats = self.rng.choice(d, size=m, replace=False)
+
+            split = best_split(X[idx], y_node, feats, self.min_samples_leaf)
+            if split is None:
                 continue
-            childbuf = np_empty((dp1, k), dtype=np_intp)
-            cptr = childbuf.ctypes.data
-            ret = node_call(ctxref, ptr, stride, k, fptr, m, cptr)
-            if ret < 0:
-                continue
-            # Gain test in Python: the reference computes the parent SSE as
-            # total_sq - total_sum ** 2 / n, and pow is not bit-identical
-            # to plain multiplication for every input.
-            thr, best, ts, tq = out_list()
-            node_sse = tq - ts**2 / k
-            if node_sse - best <= 1e-12:
-                continue
-            n_l = ret & 0xFFFFFFFF
-            # Mirrors best_split's degenerate-threshold guard.
-            if n_l == 0 or n_l == k:
-                continue
-            feature[node] = ret >> 32
-            threshold[node] = thr
-            li = len(feature)
-            f_app(_LEAF)
-            f_app(_LEAF)
-            t_app(0.0)
-            t_app(0.0)
-            l_app(_LEAF)
-            l_app(_LEAF)
-            r_app(_LEAF)
-            r_app(_LEAF)
-            v_app(0.0)
-            v_app(0.0)
-            va_app(0.0)
-            va_app(0.0)
-            c_app(0)
-            c_app(0)
-            i_app(0.0)
-            i_app(0.0)
-            left[node] = li
-            right[node] = li + 1
-            depth += 1
-            push((li, childbuf[d, :n_l], cptr, k, depth))
-            push((li + 1, childbuf[d, n_l:], cptr + 8 * n_l, k, depth))
-
-    def _grow_presorted_numpy(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Fused pure-numpy presorted growth (fallback when C is unavailable).
-
-        The split search of :func:`~repro.forest.splitter.best_split` is
-        inlined and fused here because per-node Python/numpy call overhead
-        — not arithmetic — dominates tree growth at the paper's sample
-        sizes.  Every floating-point expression mirrors the reference
-        operand-for-operand so results match bit-for-bit; the
-        trace-equivalence suite pins this.
-
-        Layout notes: sorted blocks are feature-major ``(m, k)`` (the
-        reference uses ``(k, m)``); prefix sums run along the contiguous
-        last axis and the argmin is taken over the transposed *view* so the
-        scan order — and therefore tie-breaking — matches the reference's
-        position-major flat argmin exactly.  ``order`` carries ``d + 1``
-        rows: one per feature in ascending-value order plus a final row
-        holding the node's sample indices in ascending order (what the
-        reference maintains as ``idx``); one boolean take partitions all of
-        them at once.
-        """
-        XT = np.ascontiguousarray(X.T)
-        XTflat = XT.reshape(-1)
-        # One stable argsort per feature for the whole sample; row f lists
-        # all sample indices in ascending X[:, f] order (ties by index —
-        # exactly what the reference's per-node stable argsorts yield,
-        # since node index arrays stay ascending under partitioning).
-        order0 = np.concatenate(
-            [
-                np.argsort(XT, axis=1, kind="stable"),
-                np.arange(n, dtype=np.intp)[None, :],
-            ]
-        )
-        in_left = np.zeros(n, dtype=bool)  # reusable partition scratch
-        featbase = np.arange(d, dtype=np.intp) * n
-        n_left_sizes = np.arange(n + 1, dtype=np.float64)
-        feats_all = np.arange(d)
-        rng_choice = self.rng.choice
-        msl = self.min_samples_leaf
-        mss = self.min_samples_split
-        max_depth = self.max_depth
-        dp1 = d + 1
-        INF = np.inf
-
-        stack: list[tuple[int, np.ndarray, int]] = [(0, order0, 0)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node, order, depth = pop()
-            idx = order[d]
-            y_node = y[idx]
-            k = y_node.shape[0]
-            s = float(y_node.sum())
-            q = float(np.dot(y_node, y_node))
-            mean = s / k
-            value[node] = mean
-            var = q / k - mean * mean
-            variance[node] = var if var > 0.0 else 0.0
-            count[node] = k
-            imp = q - s * s / k
-            if imp < 0.0:
-                imp = 0.0
-            impurity[node] = imp
-
-            if (
-                k < mss
-                or (max_depth is not None and depth >= max_depth)
-                or imp <= 1e-12
-            ):
-                continue
-
-            feats = feats_all if m >= d else rng_choice(d, size=m, replace=False)
-
-            lo = msl
-            hi = k - msl
-            if lo > hi:
-                continue
-            hi1 = hi + 1
-
-            sub = order[feats]  # (m, k) sample indices, feature-major
-            Ys = y[sub]
-            Fs = XTflat[sub + featbase[feats][:, None]]
-            csum = Ys.cumsum(axis=1)
-            csq = (Ys * Ys).cumsum(axis=1)
-            # Candidate split positions i in [lo, hi]; left stats use
-            # column i-1 of the prefixes.  SSE per side from Σy, Σy²:
-            # combined = (q_l - s_l²/n_l) + (q_r - s_r²/n_r).
-            s_l = csum[:, lo - 1 : hi]
-            q_l = csq[:, lo - 1 : hi]
-            n_l = n_left_sizes[lo:hi1]
-            a = s_l * s_l
-            a /= n_l
-            a = np.subtract(q_l, a, out=a)
-            b = csum[:, -1:] - s_l
-            b *= b
-            b /= k - n_l
-            c = csq[:, -1:] - q_l
-            c -= b
-            a += c  # combined SSE, (m, n_candidates)
-            # Positions are valid only where the sorted value changes; an
-            # all-invalid block leaves `best` at inf, handled below.
-            valid = Fs[:, lo:hi1] != Fs[:, lo - 1 : hi]
-            a[~valid] = INF
-            flat = int(a.T.argmin())  # transposed view: reference scan order
-            pos, col = divmod(flat, m)
-            best = a[col, pos]
-            if best == INF:
-                continue
-            ts = csum[col, -1]
-            node_sse = float(csq[col, -1] - ts**2 / k)
-            gain = node_sse - float(best)
-            if gain <= 1e-12:
-                continue
-
-            i = lo + pos
-            lo_val = Fs[col, i - 1]
-            hi_val = Fs[col, i]
-            thr = 0.5 * (lo_val + hi_val)
-            # Guard against midpoints collapsing onto the upper value for
-            # adjacent floats: the left side must satisfy
-            # `value <= threshold < upper value`.
-            if not (lo_val <= thr < hi_val):
-                thr = lo_val
-            thr = float(thr)
-            f = int(feats[col])
-
-            mask = XT[f, idx] <= thr
-            n_l_count = int(mask.sum())
-            # Mirrors best_split's degenerate-threshold guard.
-            if n_l_count == 0 or n_l_count == k:
-                continue
-            feature[node] = f
-            threshold[node] = thr
-            # Stable partition of all d+1 index rows at once: each row
-            # keeps exactly n_l_count left members, so the boolean take
-            # reshapes back into (d+1, child_size) blocks.
-            in_left[idx] = mask
-            take = in_left[order]
-            order_l = order[take].reshape(dp1, n_l_count)
-            order_r = order[~take].reshape(dp1, k - n_l_count)
-            in_left[idx] = False
+            feature[node] = split.feature
+            threshold[node] = split.threshold
             li = new_node()
             ri = new_node()
             left[node] = li
             right[node] = ri
-            push((li, order_l, depth + 1))
-            push((ri, order_r, depth + 1))
+            stack.append((li, idx[split.left_mask], depth + 1))
+            stack.append((ri, idx[~split.left_mask], depth + 1))
+
+        return (
+            np.asarray(feature, dtype=np.intp),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.intp),
+            np.asarray(right, dtype=np.intp),
+            np.asarray(value, dtype=np.float64),
+            np.asarray(variance, dtype=np.float64),
+            np.asarray(count, dtype=np.intp),
+            np.asarray(impurity, dtype=np.float64),
+        )
 
     # -- inference ------------------------------------------------------------
     def _check_query(self, X: np.ndarray) -> np.ndarray:

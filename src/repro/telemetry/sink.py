@@ -57,11 +57,13 @@ def write_trace(
     gauges: "dict[str, float] | None" = None,
     run_id: "str | None" = None,
     dropped: int = 0,
+    forest_kernel: "str | None" = None,
 ) -> str:
     """Write one trace file (header + span events + counters); returns ``path``.
 
     ``run_id`` defaults to the id recorded by the last ``engine.run`` span
-    in ``events`` (or ``"untagged"`` if none ran).
+    in ``events`` (or ``"untagged"`` if none ran).  ``forest_kernel`` names
+    the tree grower the run used (``"c"`` or ``"reference"``).
     """
     if run_id is None:
         run_id = "untagged"
@@ -75,6 +77,7 @@ def write_trace(
         "created": time.time(),
         "n_events": len(events),
         "dropped_events": int(dropped),
+        "forest_kernel": forest_kernel,
     }
     # repro: allow[IO001] observability output, never a result artifact; a torn trace is detectable via the header's n_events
     with open(path, "w", encoding="utf-8") as fh:
@@ -216,6 +219,8 @@ def summarize(trace: "dict | list[dict]") -> str:
             else ""
         )
     ]
+    if header.get("forest_kernel"):
+        lines.append(f"forest kernel: {header['forest_kernel']}")
     rows = [["phase", "count", "total(s)", "self(s)", "mean(ms)"]]
     for name in sorted(totals, key=lambda n: -totals[n]["total"]):
         entry = totals[name]

@@ -115,6 +115,7 @@ class TestRun:
         assert result.trace_path == path
         parsed = telemetry.read_trace(path)
         assert parsed["header"]["run_id"] != "untagged"
+        assert parsed["header"]["forest_kernel"] in ("c", "reference")
         assert any(e["name"] == "engine.job" for e in parsed["events"])
         assert parsed["counters"]["engine.jobs.executed"] == tiny_scale.n_trials
         assert "accounted phases" in capsys.readouterr().err

@@ -156,6 +156,27 @@ class TestPartialUpdate:
             rf.update(X[20:25], y[20:22])
 
 
+class TestKernelGauge:
+    def test_fit_and_update_record_which_grower_ran(
+        self, regression_data, monkeypatch
+    ):
+        import repro.forest._cgrower as _cgrower
+        from repro import telemetry
+
+        X, y = regression_data
+        c_available = _cgrower.load() is not None
+        rf = RandomForestRegressor(n_estimators=2, seed=0).fit(X[:40], y[:40])
+        assert telemetry.gauges_snapshot()["forest.kernel"] == int(c_available)
+        RandomForestRegressor(n_estimators=2, seed=0, presort=False).fit(X, y)
+        assert telemetry.gauges_snapshot()["forest.kernel"] == 0
+        rf.update(X[40:50], y[40:50], refresh_fraction=0.5)
+        assert telemetry.gauges_snapshot()["forest.kernel"] == int(c_available)
+        monkeypatch.setattr(_cgrower, "_lib", None)
+        monkeypatch.setattr(_cgrower, "_attempted", True)
+        rf.update(X[50:60], y[50:60], refresh_fraction=0.5)
+        assert telemetry.gauges_snapshot()["forest.kernel"] == 0
+
+
 class TestFeatureImportances:
     def test_normalised(self, regression_data):
         X, y = regression_data

@@ -175,6 +175,15 @@ class TestSink:
         assert parsed["counters"] == {"c": 3}
         assert parsed["gauges"] == {"g": 1.5}
 
+    def test_header_names_the_forest_kernel(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        sink.write_trace(
+            path, self._synthetic_events(), run_id="abc", forest_kernel="c"
+        )
+        parsed = sink.read_trace(path)
+        assert parsed["header"]["forest_kernel"] == "c"
+        assert "forest kernel: c" in sink.summarize(parsed).splitlines()
+
     def test_summarize_round_trip(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         sink.write_trace(
