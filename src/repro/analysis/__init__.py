@@ -17,9 +17,9 @@ families run dataflow over it — un-derived RNG reaching worker-reachable
 code (FLOW001), generator parameters consumed on only one branch path
 (FLOW002), shared state touched on thread-reachable paths without the
 guarding lock (RACE001), inconsistent lock acquisition order (RACE002),
-and the layering contract over imports (ARCH001).  Results are cached
-incrementally (:mod:`~repro.analysis.cache`) with content-hash keys and
-transitive invalidation through the import graph.
+and the layering contract over imports (ARCH001).  Each file is parsed
+and walked once; the module rules and the whole-program pass share that
+walk (:class:`~repro.analysis.symbols.ModuleContext`).
 
 Run it as ``repro lint`` or ``python -m repro.analysis [paths...]``;
 the pytest gate ``tests/test_lint_clean.py`` keeps ``src/repro``

@@ -68,9 +68,7 @@ def check_det001(module: ModuleContext) -> Iterator[Hit]:
         rng = derive(seed, "sampling")   # repro.rng
         x = rng.random(3)
     """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of_type(ast.Call):
         qualified = module.symbols.qualified(node.func)
         if not qualified:
             continue
@@ -122,9 +120,7 @@ def check_det002(module: ModuleContext) -> Iterator[Hit]:
         with telemetry.span("engine.job"):   # clocks live in telemetry
             run(job)
     """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of_type(ast.Call):
         qualified = module.symbols.qualified(node.func)
         if qualified in _WALL_CLOCKS:
             yield _hit(
@@ -145,27 +141,6 @@ def _is_set_expr(node: ast.expr) -> bool:
     return False
 
 
-def _scopes(tree: ast.Module):
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _scope_body_walk(scope: ast.AST):
-    """Walk a scope without descending into nested function scopes."""
-    stack = list(
-        ast.iter_child_nodes(scope)
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
-        else scope.body  # type: ignore[union-attr]
-    )
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 @rule(
     "DET003",
     "iteration over a set without sorted(...)",
@@ -183,28 +158,26 @@ def check_det003(module: ModuleContext) -> Iterator[Hit]:
         for name in sorted({"b", "a"}):
             emit(name)
     """
-    for scope in _scopes(module.tree):
+    for scope in (module.tree, *module.functions):
         set_vars: "set[str]" = set()
-        for node in _scope_body_walk(scope):
-            if isinstance(node, ast.Assign) and _is_set_expr(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        set_vars.add(target.id)
-        for node in _scope_body_walk(scope):
-            iters = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
+        iters = []
+        for node in module.scope_nodes[scope]:
+            if isinstance(node, ast.Assign):
+                if _is_set_expr(node.value):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            set_vars.add(target.id)
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it) or (
-                    isinstance(it, ast.Name) and it.id in set_vars
-                ):
-                    yield _hit(
-                        it,
-                        "iteration over a set has nondeterministic order; "
-                        "iterate sorted(...) instead",
-                    )
+        for it in iters:
+            if _is_set_expr(it) or (isinstance(it, ast.Name) and it.id in set_vars):
+                yield _hit(
+                    it,
+                    "iteration over a set has nondeterministic order; "
+                    "iterate sorted(...) instead",
+                )
 
 
 # -- DET004: ambient environment reads -------------------------------------
@@ -227,13 +200,11 @@ def check_det004(module: ModuleContext) -> Iterator[Hit]:
         jobs = context.jobs          # engine/context.py read it, once,
                                      # and recorded it in the run manifest
     """
-    for node in ast.walk(module.tree):
+    for node in module.of_type(ast.Call, ast.Attribute, ast.Name):
         if isinstance(node, ast.Call):
             qualified = module.symbols.qualified(node.func)
             if qualified == "os.getenv":
                 yield _hit(node, "os.getenv() read outside engine/context.py")
-            continue
-        if not isinstance(node, (ast.Attribute, ast.Name)):
             continue
         if module.symbols.qualified(node) != "os.environ":
             continue
@@ -309,14 +280,16 @@ def check_spawn001(module: ModuleContext) -> Iterator[Hit]:
     """
     mutables = module.symbols.mutable_globals
     locks = module.symbols.lock_globals
-    for scope in _scopes(module.tree):
-        if isinstance(scope, ast.Module):
-            continue  # import-time registration is single-threaded
+    if not mutables and not module.of_type(ast.Global):
+        return  # no module state that a function could mutate or rebind
+    # Module scope is skipped: import-time registration is single-threaded.
+    for scope in module.functions:
+        body = module.scope_nodes[scope]
         declared_global: "set[str]" = set()
-        for node in _scope_body_walk(scope):
+        for node in body:
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
-        for node in _scope_body_walk(scope):
+        for node in body:
             name = None
             how = "mutated"
             if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -392,9 +365,7 @@ def check_tel001(module: ModuleContext) -> Iterator[Hit]:
 
         counters.inc("engine.jobs.executed")
     """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of_type(ast.Call):
         kind = _is_telemetry_call(module, node)
         if kind is None or not node.args:
             continue
@@ -450,9 +421,7 @@ def check_io001(module: ModuleContext) -> Iterator[Hit]:
 
         atomic_write_text(path, json.dumps(result))   # engine/store.py
     """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of_type(ast.Call):
         func = node.func
         qualified = module.symbols.qualified(func)
         if isinstance(func, ast.Name) and func.id == "open" or qualified == "io.open":
@@ -518,9 +487,7 @@ def check_exc001(module: ModuleContext) -> Iterator[Hit]:
             log.warning("flush failed: %s", exc)
             raise
     """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
+    for node in module.of_type(ast.ExceptHandler):
         if node.type is None:
             yield _hit(
                 node,
@@ -606,14 +573,12 @@ def check_flow002(module: ModuleContext) -> Iterator[Hit]:
             noise = rng.normal()      # stream advances on every path
             return x.value if x.cached else x.value + noise
     """
-    for scope in _scopes(module.tree):
-        if isinstance(scope, ast.Module):
-            continue
+    for scope in module.functions:
         for param in _generator_params(scope):
             all_draws = _draw_nodes(scope.body, param)
             if not all_draws:
                 continue  # pure pass-through parameters are fine
-            for node in _walk_no_nested(scope.body):
+            for node in module.scope_nodes[scope]:
                 if not isinstance(node, ast.If):
                     continue
                 body_draws = bool(_draw_nodes(node.body, param))

@@ -17,9 +17,6 @@ __all__ = ["configure_parser", "run_from_args", "main"]
 #: Paths linted when none are given (missing ones are skipped).
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
-#: Where the incremental cache lives unless ``--cache-file`` overrides it.
-DEFAULT_CACHE_FILE = ".repro-lint-cache.json"
-
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Attach the lint options to ``parser`` (shared with ``repro lint``)."""
@@ -72,25 +69,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         action="store_true",
         help="drop the built-in path allowlists and excludes (every rule "
         "applies everywhere — what the fixture tests use)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the per-file pass over N worker processes (0 = all "
-        "cores); output is byte-identical to a serial run",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the incremental cache entirely (cold run, no writes)",
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=DEFAULT_CACHE_FILE,
-        help=f"incremental cache location (default: {DEFAULT_CACHE_FILE})",
     )
     parser.add_argument(
         "--changed",
@@ -268,20 +246,9 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(json.dumps(graph.to_json(), indent=2, sort_keys=True))
             return 0
 
-        jobs = args.jobs
-        if jobs <= 0:
-            import os
-
-            jobs = os.cpu_count() or 1
         changed = _changed_names(args.changed) if args.changed else None
-        cache_path = None if (args.no_cache or changed is not None) else args.cache_file
         result = lint_paths(
-            paths,
-            config=config,
-            baseline_path=args.baseline,
-            jobs=jobs,
-            cache_path=cache_path,
-            changed=changed,
+            paths, config=config, baseline_path=args.baseline, changed=changed
         )
 
         if args.write_baseline:

@@ -207,14 +207,14 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """Per-module facts shared by the graph rules and the cache."""
+    """Per-module facts shared by the graph rules."""
 
     name: str
     file: str
     context: ModuleContext
     #: every import site, as ``(lineno, col, absolute dotted target)``.
     import_sites: "list[tuple[int, int, str]]" = field(default_factory=list)
-    #: project-internal modules this module imports (for invalidation).
+    #: project-internal modules this module imports.
     project_imports: "set[str]" = field(default_factory=set)
     classes_local: "dict[str, ClassInfo]" = field(default_factory=dict)
     functions_local: "dict[str, ast.AST]" = field(default_factory=dict)
@@ -289,11 +289,11 @@ def _annotation_text(node: "ast.expr | None") -> "str | None":
 def _collect_module(name: str, file: str, context: ModuleContext) -> ModuleInfo:
     info = ModuleInfo(name=name, file=file, context=context)
     is_package = Path(file).stem == "__init__"
-    for node in ast.walk(context.tree):
+    for node in context.of_type(ast.Import, ast.ImportFrom):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 info.import_sites.append((node.lineno, node.col_offset, alias.name))
-        elif isinstance(node, ast.ImportFrom):
+        else:
             if node.level:
                 base = _resolve_relative(name, is_package, node.level, node.module)
             else:

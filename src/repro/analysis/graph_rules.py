@@ -54,8 +54,8 @@ LAYER_CONTRACT: "dict[str, dict[str, tuple[str, ...]]]" = {
     "envelope": {"forbid": ("*",), "allow": ()},
     "registry": {"forbid": ("*",), "allow": ()},
     "telemetry": {"forbid": ("*",), "allow": ("_version",)},
-    # the linter itself: pure stdlib + counters for its cache stats
-    "analysis": {"forbid": ("*",), "allow": ("telemetry",)},
+    # the linter itself: pure stdlib, no project layer at all
+    "analysis": {"forbid": ("*",), "allow": ()},
     # modeling/search layers
     "workloads": {"forbid": _MODEL_FORBIDS},
     "forest": {"forbid": _MODEL_FORBIDS},

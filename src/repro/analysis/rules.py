@@ -120,15 +120,6 @@ def known_rule_ids() -> "tuple[str, ...]":
     return tuple(sorted(_RULES))
 
 
-def ruleset_digest_parts() -> "tuple[str, ...]":
-    """Stable description of the registered rule set, for the cache key."""
-    _ensure_loaded()
-    return tuple(
-        f"{r.id}\x1f{r.scope}\x1f{r.summary}\x1f{r.rationale}"
-        for r in all_rules()
-    )
-
-
 def _ensure_loaded() -> None:
     # Import for the side effect of registration; deferred to avoid the
     # checkers ↔ registry import cycle.

@@ -13,16 +13,20 @@ much smaller and entirely syntactic:
 * which module-level names are bound to ``threading.Lock()`` /
   ``RLock()`` — mutations under ``with <lock>:`` are concurrency-safe.
 
-:func:`annotate_parents` threads a ``_repro_parent`` backlink through
-the tree so checkers can walk outward (is this read a subscript store?
-is this mutation inside a lock's ``with`` block?).
+:class:`ModuleContext` walks each tree exactly once.  That walk threads
+a ``_repro_parent`` backlink through the tree, so checkers can walk
+outward (is this read a subscript store?  is this mutation inside a
+lock's ``with`` block?), and records every node in ``ast.walk`` order
+plus, per function scope, the nodes of its body outside nested scopes.
+The module rules, the project graph and the suppression spans all read
+those lists instead of walking the tree again.
 """
 
 from __future__ import annotations
 
 import ast
 
-__all__ = ["ModuleSymbols", "ModuleContext", "annotate_parents", "parent_chain"]
+__all__ = ["ModuleSymbols", "ModuleContext", "parent_chain"]
 
 #: Constructor calls whose result is a mutable container.
 _MUTABLE_CONSTRUCTORS = {
@@ -38,11 +42,9 @@ _MUTABLE_CONSTRUCTORS = {
 _LOCK_CONSTRUCTORS = {"Lock", "RLock"}
 
 
-def annotate_parents(tree: ast.AST) -> None:
-    """Attach a ``_repro_parent`` backlink to every node in ``tree``."""
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._repro_parent = node  # type: ignore[attr-defined]
+#: The nodes that open a new scope for the scope-aware rules.
+_FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_TYPES = (ast.Module, *_FUNCTION_TYPES)
 
 
 def parent_chain(node: ast.AST):
@@ -161,8 +163,60 @@ class ModuleContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        annotate_parents(tree)
+        #: scope (the module or a function def) → the nodes of its body
+        #: outside nested function scopes; a nested def itself belongs to
+        #: the enclosing scope, its arguments and decorators to its own.
+        self.scope_nodes: "dict[ast.AST, list[ast.AST]]" = {}
+        self._by_type: "dict[tuple[type, ...], list[ast.AST]]" = {}
+        #: every node, the tree included, in ``ast.walk`` order.
+        self.nodes: "list[ast.AST]" = self._walk(tree)
+        #: function defs in ``ast.walk`` order (the module is not one).
+        self.functions: "list[ast.AST]" = self.of_type(*_FUNCTION_TYPES)
         self.symbols = ModuleSymbols(tree)
+
+    def _walk(self, tree: ast.Module) -> "list[ast.AST]":
+        """The one traversal of the tree.
+
+        Depth first, popping the last child first, so each scope's list
+        holds its body in that order, which fixes the order the scope
+        rules report in (and so the suppression list and the occurrence
+        index in fingerprints).  Each depth level collects its
+        nodes right to left; reading the levels top down, each one
+        reversed, gives ``ast.walk``'s breadth-first order.  Children
+        are enumerated as ``ast.iter_child_nodes`` does, inlined.
+        """
+        levels: "list[list[ast.AST]]" = []
+        stack: "list[tuple[ast.AST, int, list]]" = [(tree, 0, [])]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, depth, owner = pop()
+            owner.append(node)
+            if depth == len(levels):
+                levels.append([node])
+            else:
+                levels[depth].append(node)
+            if isinstance(node, _SCOPE_TYPES):
+                owner = self.scope_nodes[node] = []
+            depth += 1
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, ast.AST):
+                            item._repro_parent = node  # type: ignore[attr-defined]
+                            push((item, depth, owner))
+                elif isinstance(value, ast.AST):
+                    value._repro_parent = node  # type: ignore[attr-defined]
+                    push((value, depth, owner))
+        return [node for level in levels for node in reversed(level)]
+
+    def of_type(self, *types: type) -> "list[ast.AST]":
+        """Nodes that are instances of ``types``, in ``ast.walk`` order."""
+        found = self._by_type.get(types)
+        if found is None:
+            found = [node for node in self.nodes if isinstance(node, types)]
+            self._by_type[types] = found
+        return found
 
     def line_text(self, lineno: int) -> str:
         """Source text of 1-based ``lineno`` (empty string out of range)."""

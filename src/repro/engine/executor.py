@@ -247,13 +247,14 @@ def _attempt(
 
 def _execute_keyed(  # repro: worker-entry
     item: "tuple[str, TrialJob, float, int, float | None, str | None]",
-) -> "tuple[str, object, list, dict]":
+) -> "tuple[str, object, list, dict, dict]":
     """Pool-friendly wrapper: runs one guarded attempt in a worker process.
 
     Besides the outcome it ships the worker's telemetry for this attempt
     back through the result channel — the span events drained from the
-    local ring buffer (empty when tracing is off) and the counter deltas —
-    so the parent can merge them and ``--jobs N`` traces stay complete.
+    local ring buffer (empty when tracing is off), the counter deltas and
+    the current gauges — so the parent can merge them and ``--jobs N``
+    traces stay complete.
     Job failures travel as data (``outcome != "ok"``), never as raised
     exceptions: an exception escaping here would be indistinguishable from
     pool infrastructure trouble on the parent side.
@@ -262,7 +263,13 @@ def _execute_keyed(  # repro: worker-entry
     outcome, payload = _attempt(
         key, job, submit_ts, attempt, _plan(faults_spec), timeout
     )
-    return outcome, payload, telemetry.drain_events(), telemetry.drain()
+    return (
+        outcome,
+        payload,
+        telemetry.drain_events(),
+        telemetry.drain(),
+        telemetry.gauges_snapshot(),
+    )
 
 
 def _worker_init(trace_on: bool) -> None:  # repro: worker-entry
@@ -399,9 +406,9 @@ def _run_parallel(
 
     def absorb_result(key: str, job: TrialJob, attempt: int, returned) -> None:
         """Commit one future's outcome and merge its worker telemetry."""
-        outcome, payload, events, counter_delta = returned
+        outcome, payload, events, counter_delta, gauges = returned
         telemetry.absorb_events(events)
-        telemetry.absorb(counter_delta)
+        telemetry.absorb(counter_delta, gauges)
         if outcome == "ok":
             _record_success(
                 key, job, attempt, payload, results, store, reporter

@@ -3,7 +3,8 @@
 Counters are always on (an integer add under a lock — cheap enough for
 per-call hot-path accounting) and process-local; the executor drains each
 worker's counters after every job and merges them into the parent via
-:func:`absorb`, so ``--jobs N`` runs report complete totals.
+:func:`absorb`, so ``--jobs N`` runs report complete totals.  The worker's
+gauges travel with them, and the latest value absorbed wins.
 
 These unify the accounting that used to live ad hoc in
 :mod:`repro.engine.progress`: the engine's executed/cached job counts,
@@ -93,11 +94,15 @@ def drain() -> "dict[str, float]":
     return counts
 
 
-def absorb(delta: "dict[str, float]") -> None:
-    """Merge a counter delta drained from another process."""
+def absorb(
+    delta: "dict[str, float]", gauges: "dict[str, float] | None" = None
+) -> None:
+    """Merge a counter delta drained from another process, and set the
+    gauges it observed (the latest absorbed value wins)."""
     with _lock:
         for name, value in delta.items():
             _counts[name] = _counts.get(name, 0) + value
+        _gauges.update(gauges or {})
 
 
 def reset() -> None:

@@ -28,14 +28,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lintpkg"
 FINDING_LINE = re.compile(r"^\S+\.py:\d+:\d+ [A-Z]+\d* .+$")
 
 
-@pytest.fixture(autouse=True)
-def _scratch_cwd(tmp_path_factory, monkeypatch):
-    """The CLI caches to ``.repro-lint-cache.json`` in cwd by default;
-    run every test from a scratch directory so no cache file lands in
-    the repository checkout."""
-    monkeypatch.chdir(tmp_path_factory.mktemp("lint-cwd"))
-
-
 def test_clean_tree_exits_zero(capsys):
     code = lint_main([str(ROOT / "src" / "repro")])
     out = capsys.readouterr().out
@@ -129,8 +121,8 @@ def test_write_baseline_flow(tmp_path, capsys):
 def test_repro_cli_lint_subcommand(capsys):
     from repro.cli import main as repro_main
 
-    assert repro_main(["lint", "--no-cache", str(ROOT / "src" / "repro")]) == 0
-    assert repro_main(["lint", "--no-cache", str(FIXTURES), "--no-defaults"]) == 1
+    assert repro_main(["lint", str(ROOT / "src" / "repro")]) == 0
+    assert repro_main(["lint", str(FIXTURES), "--no-defaults"]) == 1
     capsys.readouterr()
 
 
@@ -139,8 +131,7 @@ def _run_module(args, cwd):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        # --no-cache keeps subprocess runs from dropping a cache file in cwd
-        [sys.executable, "-m", "repro.analysis", "--no-cache", *args],
+        [sys.executable, "-m", "repro.analysis", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -214,14 +205,6 @@ def test_graph_dump_is_json_with_entries(capsys):
     ]
     assert "lintpkg.flow001.simulate" in dump["worker_entries"]
     assert "lintpkg.race001.Board.post" in dump["thread_entries"]
-
-
-def test_jobs_output_matches_serial(capsys):
-    code1 = lint_main([str(FIXTURES), "--no-defaults", "--no-cache"])
-    serial = capsys.readouterr().out
-    code2 = lint_main([str(FIXTURES), "--no-defaults", "--no-cache", "--jobs", "4"])
-    parallel = capsys.readouterr().out
-    assert (code1, serial) == (code2, parallel)
 
 
 def test_changed_scopes_report_to_git_diff(tmp_path, capsys, monkeypatch):

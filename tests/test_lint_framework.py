@@ -272,6 +272,82 @@ def test_missing_path_is_a_usage_error():
         lint_paths(["definitely/not/a/path"], config=permissive_config())
 
 
+# -- one parse and one walk per file; --changed scoping ----------------------
+
+#: A tiny project with an import chain (a → b → c) plus a bystander.
+PROJECT = {
+    "pkg/__init__.py": "",
+    "pkg/c.py": (
+        "import time\n\n\n"
+        "def stamp():\n"
+        "    return time.time()\n"
+    ),
+    "pkg/b.py": "from pkg.c import stamp\n\n\ndef wrap():\n    return stamp()\n",
+    "pkg/a.py": "from pkg.b import wrap\n\n\ndef top():\n    return wrap()\n",
+    "pkg/d.py": "def lonely():\n    return 0\n",
+}
+
+
+@pytest.fixture()
+def project(tmp_path):
+    for rel, source in PROJECT.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    return tmp_path
+
+
+def test_each_file_is_parsed_walked_and_collected_once(project, monkeypatch):
+    import ast
+
+    from repro.analysis import graph
+    from repro.analysis.symbols import ModuleContext
+
+    calls = {"parse": [], "walk": [], "collect": []}
+    real_parse = ast.parse
+    real_walk = ModuleContext._walk
+    real_collect = graph._collect_module
+
+    def parse(source, filename="<unknown>", *args, **kwargs):
+        calls["parse"].append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    def walk(self, tree):
+        calls["walk"].append(self.path)
+        return real_walk(self, tree)
+
+    def collect(name, file, context):
+        calls["collect"].append(file)
+        return real_collect(name, file, context)
+
+    monkeypatch.setattr(ast, "parse", parse)
+    monkeypatch.setattr(ModuleContext, "_walk", walk)
+    monkeypatch.setattr(graph, "_collect_module", collect)
+    result = lint_paths([project], config=permissive_config())
+
+    assert [f.rule for f in result.findings] == ["DET002"]
+    assert result.files_scanned == len(PROJECT)
+    for stage, names in calls.items():
+        assert len(names) == len(PROJECT), stage
+        assert len(set(names)) == len(PROJECT), stage
+
+
+def test_changed_scope_restricts_report_but_keeps_graph(project):
+    changed = {(project / "pkg" / "a.py").resolve().as_posix()}
+    result = lint_paths(
+        [project], config=permissive_config(), changed=changed
+    )
+    # c.py's DET002 is out of scope; only a.py is reported.
+    assert result.findings == []
+    assert result.files_scanned == len(PROJECT)
+
+    changed = {(project / "pkg" / "c.py").resolve().as_posix()}
+    result = lint_paths(
+        [project], config=permissive_config(), changed=changed
+    )
+    assert [f.rule for f in result.findings] == ["DET002"]
+
+
 # -- registry hygiene (lint registry + domain registries) --------------------
 
 

@@ -128,6 +128,13 @@ class TestCounters:
         telemetry.absorb(delta)
         assert telemetry.counters_snapshot()["x"] == 4
 
+    def test_absorb_sets_foreign_gauges_latest_wins(self):
+        telemetry.gauge("g", 1.0)
+        telemetry.absorb({}, {"g": 2.0, "h": 3.0})
+        telemetry.absorb({"x": 1}, {"g": 4.0})
+        assert telemetry.gauges_snapshot() == {"g": 4.0, "h": 3.0}
+        assert telemetry.counters_snapshot() == {"x": 1}
+
 
 class TestSink:
     def _synthetic_events(self):
@@ -252,6 +259,18 @@ class TestTracedRuns:
         counts = telemetry.counters_snapshot()
         assert counts["learner.evaluations"] == 4 * scale.n_max
         assert counts["engine.jobs.executed"] == 4
+
+    def test_jobs2_gauges_reach_the_parent(self, tiny_scale):
+        import dataclasses
+
+        scale = dataclasses.replace(tiny_scale, n_trials=2)
+        comparison_traces(
+            "mvt", ("random", "pwu"), scale, seed=0, engine=_quiet(jobs=2)
+        )
+        # Every fit ran in a worker; its gauges came back with the result.
+        gauges = telemetry.gauges_snapshot()
+        assert gauges["forest.kernel"] in (0, 1)
+        assert gauges["learner.batch_rows"] > 0
 
     def test_trace_off_buffer_stays_empty(self, tiny_scale):
         strategy_trace("mvt", "pwu", tiny_scale, seed=0, engine=_quiet())
