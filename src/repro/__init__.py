@@ -48,66 +48,62 @@ Layers (bottom-up):
 * :mod:`repro.api` — the typed facade over all of the above
 """
 
-from repro._version import __version__
-from repro.active import ActiveLearner, LearnerConfig, LearningHistory
-from repro.forest import RandomForestRegressor, load_forest, save_forest
-from repro.gp import GaussianProcessRegressor
-from repro.metrics import (
-    cumulative_cost,
-    top_alpha_rmse,
-    uncertainty_calibration,
-)
-from repro.sampling import (
-    STRATEGY_NAMES,
-    PWUSampling,
-    available_strategies,
-    get_strategy,
-    make_strategy,
-    pwu_scores,
-    register_strategy,
-)
-from repro.space import (
-    BooleanParameter,
-    CategoricalParameter,
-    DataPool,
-    IntegerParameter,
-    OrdinalParameter,
-    ParameterSpace,
-)
-from repro.workloads import Benchmark, all_benchmarks, get_benchmark
+import importlib
 
-__all__ = [
-    "__version__",
+from repro._version import __version__
+
+#: Exported name → the module that defines it.  Nothing below is imported
+#: until first use (PEP 562), so ``import repro`` costs no numpy or scipy
+#: and a run loads only the layers it touches.
+_EXPORTS = {
     # spaces
-    "ParameterSpace",
-    "IntegerParameter",
-    "OrdinalParameter",
-    "CategoricalParameter",
-    "BooleanParameter",
-    "DataPool",
+    "ParameterSpace": "repro.space",
+    "IntegerParameter": "repro.space",
+    "OrdinalParameter": "repro.space",
+    "CategoricalParameter": "repro.space",
+    "BooleanParameter": "repro.space",
+    "DataPool": "repro.space",
     # models
-    "RandomForestRegressor",
-    "GaussianProcessRegressor",
-    "save_forest",
-    "load_forest",
+    "RandomForestRegressor": "repro.forest",
+    "GaussianProcessRegressor": "repro.gp",
+    "save_forest": "repro.forest",
+    "load_forest": "repro.forest",
     # strategies
-    "STRATEGY_NAMES",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "make_strategy",
-    "PWUSampling",
-    "pwu_scores",
+    "STRATEGY_NAMES": "repro.sampling",
+    "register_strategy": "repro.sampling",
+    "get_strategy": "repro.sampling",
+    "available_strategies": "repro.sampling",
+    "make_strategy": "repro.sampling",
+    "PWUSampling": "repro.sampling",
+    "pwu_scores": "repro.sampling",
     # loop
-    "ActiveLearner",
-    "LearnerConfig",
-    "LearningHistory",
+    "ActiveLearner": "repro.active",
+    "LearnerConfig": "repro.active",
+    "LearningHistory": "repro.active",
     # metrics
-    "top_alpha_rmse",
-    "cumulative_cost",
-    "uncertainty_calibration",
+    "top_alpha_rmse": "repro.metrics",
+    "cumulative_cost": "repro.metrics",
+    "uncertainty_calibration": "repro.metrics",
     # workloads
-    "Benchmark",
-    "get_benchmark",
-    "all_benchmarks",
-]
+    "Benchmark": "repro.workloads",
+    "get_benchmark": "repro.workloads",
+    "all_benchmarks": "repro.workloads",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import an exported name from its defining module on first access."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    """The module's own names plus every lazy export."""
+    return sorted({*globals(), *_EXPORTS})

@@ -26,6 +26,7 @@ or directly above the reported line itself.
 from __future__ import annotations
 
 import ast
+import gc
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,6 +190,23 @@ def lint_paths(
     findings and suppressions to those files; both passes still run over
     the full walk, so the whole-program graph sees every module.
     """
+    # Every file's tree stays alive until the project pass; with the cyclic
+    # collector paused it does not rescan them over and over as they pile up.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _lint(paths, config, baseline_path, changed)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _lint(
+    paths: "list[str]",
+    config: "LintConfig | None",
+    baseline_path: "str | None",
+    changed: "set[str] | None",
+) -> LintResult:
     config = config if config is not None else default_config()
     baseline = load_baseline(baseline_path) if baseline_path else set()
     files = iter_python_files([os.fspath(p) for p in paths], config.exclude)

@@ -9,9 +9,10 @@ the same experiment always traces under the same id.
 :func:`summarize` renders the per-phase accounting table the CLI's
 ``repro trace summarize <file>`` subcommand prints and traced runs show
 on stderr: per span name the call count, total and self time (total
-minus time spent in nested spans), plus the learner-phase coverage — the
-fraction of traced job wall time accounted for by the
-select/evaluate/refit/record phases — and all counters.
+minus time spent in nested spans), and the mean, p50 and p99 duration,
+plus the learner-phase coverage — the fraction of traced job wall time
+accounted for by the select/evaluate/refit/record phases — and all
+counters.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def read_trace(path: str) -> dict:
 
 
 def phase_totals(events: "list[dict]") -> "dict[str, dict]":
-    """Per span name: ``{"count", "total", "self", "mean"}`` (seconds).
+    """Per span name: ``{"count", "total", "self", "mean", "p50", "p99"}`` (seconds).
 
     Self time subtracts the duration of directly nested spans, recovered
     from the recorded per-thread nesting depths: within one ``(pid, tid)``
@@ -158,6 +159,7 @@ def phase_totals(events: "list[dict]") -> "dict[str, dict]":
                 )
             stack.append(event)
     totals: "dict[str, dict]" = {}
+    durations: "dict[str, list[float]]" = {}
     for event in spans:
         entry = totals.setdefault(
             event["name"], {"count": 0, "total": 0.0, "self": 0.0}
@@ -165,9 +167,22 @@ def phase_totals(events: "list[dict]") -> "dict[str, dict]":
         entry["count"] += 1
         entry["total"] += event["dur"]
         entry["self"] += max(0.0, event["dur"] - child_time.get(id(event), 0.0))
-    for entry in totals.values():
+        durations.setdefault(event["name"], []).append(event["dur"])
+    for name, entry in totals.items():
         entry["mean"] = entry["total"] / entry["count"]
+        ordered = sorted(durations[name])
+        entry["p50"] = _percentile(ordered, 50)
+        entry["p99"] = _percentile(ordered, 99)
     return totals
+
+
+def _percentile(ordered: "list[float]", q: float) -> float:
+    """The ``q``-th percentile of sorted values, interpolating linearly
+    between closest ranks (numpy's default method)."""
+    pos = (len(ordered) - 1) * q / 100
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def phase_coverage(events: "list[dict]") -> "tuple[float, float, float]":
@@ -221,7 +236,7 @@ def summarize(trace: "dict | list[dict]") -> str:
     ]
     if header.get("forest_kernel"):
         lines.append(f"forest kernel: {header['forest_kernel']}")
-    rows = [["phase", "count", "total(s)", "self(s)", "mean(ms)"]]
+    rows = [["phase", "count", "total(s)", "self(s)", "mean(ms)", "p50(ms)", "p99(ms)"]]
     for name in sorted(totals, key=lambda n: -totals[n]["total"]):
         entry = totals[name]
         rows.append(
@@ -231,6 +246,8 @@ def summarize(trace: "dict | list[dict]") -> str:
                 f"{entry['total']:.3f}",
                 f"{entry['self']:.3f}",
                 f"{entry['mean'] * 1e3:.2f}",
+                f"{entry['p50'] * 1e3:.2f}",
+                f"{entry['p99'] * 1e3:.2f}",
             ]
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

@@ -332,6 +332,35 @@ def test_each_file_is_parsed_walked_and_collected_once(project, monkeypatch):
         assert len(set(names)) == len(PROJECT), stage
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_paused_during_the_lint_and_restored(
+    project, monkeypatch, enabled
+):
+    import gc
+
+    from repro.analysis import graph
+
+    seen = []
+    real_collect = graph._collect_module
+
+    def collect(name, file, context):
+        seen.append(gc.isenabled())
+        return real_collect(name, file, context)
+
+    monkeypatch.setattr(graph, "_collect_module", collect)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        lint_paths([project], config=permissive_config())
+        assert seen == [False] * len(PROJECT)
+        assert gc.isenabled() is enabled
+        with pytest.raises(LintUsageError):
+            lint_paths([project / "missing"], config=permissive_config())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_changed_scope_restricts_report_but_keeps_graph(project):
     changed = {(project / "pkg" / "a.py").resolve().as_posix()}
     result = lint_paths(

@@ -152,6 +152,34 @@ class TestSink:
         assert totals["parent"]["self"] == pytest.approx(0.6)
         assert totals["child"]["self"] == pytest.approx(0.4)
 
+    def _op_events(self, durations_ms):
+        """Back-to-back top-level ``op`` spans with the given durations."""
+        events, ts = [], 0.0
+        for ms in durations_ms:
+            events.append({"kind": "span", "name": "op", "ts": ts,
+                           "dur": ms / 1e3, "pid": 1, "tid": 1, "depth": 0})
+            ts += ms / 1e3
+        return events
+
+    def test_phase_totals_percentiles(self):
+        # Durations 1..100 ms, shuffled: p50 sits halfway between the 50th
+        # and 51st (50.5 ms), p99 0.01 of the way from 99 to 100 ms.
+        durations = [(7 * k) % 100 + 1 for k in range(100)]
+        assert sorted(durations) == list(range(1, 101))
+        entry = sink.phase_totals(self._op_events(durations))["op"]
+        assert entry["p50"] == pytest.approx(0.0505)
+        assert entry["p99"] == pytest.approx(0.09901)
+        single = sink.phase_totals(self._op_events([4.0]))["op"]
+        assert single["p50"] == single["p99"] == pytest.approx(0.004)
+
+    def test_summarize_prints_percentile_columns(self):
+        text = sink.summarize(self._op_events([1.0, 2.0, 3.0, 10.0]))
+        header, row = text.splitlines()[1:3]
+        assert header.split() == [
+            "phase", "count", "total(s)", "self(s)", "mean(ms)", "p50(ms)", "p99(ms)"
+        ]
+        assert row.split() == ["op", "4", "0.016", "0.016", "4.00", "2.50", "9.79"]
+
     def test_self_time_is_per_thread(self):
         events = self._synthetic_events()
         events[1]["pid"] = 2  # other process: no longer nested
